@@ -3,25 +3,22 @@
 //! Unlike the paper-table benches (which report *virtual* time from the
 //! simulated clock), this module measures the real wall-clock cost of
 //! the simulator itself — normal-run throughput per application, the
-//! snapshot/restore hot path, and end-to-end diagnosis latency — plus
-//! the deterministic virtual-time speedup of the parallel speculative
-//! diagnosis scheduler. The numbers land in `results/perf.json`; CI
-//! replays the measurements with `--check` and fails on regression
-//! against the committed baseline.
+//! snapshot/restore hot path, and end-to-end diagnosis latency. The
+//! numbers land in `results/perf.json`; CI replays the measurements with
+//! `--check` and fails on regression against the committed baseline.
 //!
 //! Two kinds of gate:
 //!
 //! * **Virtual time** is deterministic (it comes from the simulated
-//!   clock), so the thresholds are tight: diagnosis must stay within
-//!   25% of the baseline, and the parallel scheduler must keep a ≥2×
-//!   virtual-time speedup over the sequential engine on Apache and
-//!   Squid.
+//!   clock), so the threshold is tight: diagnosis must stay within 25%
+//!   of the baseline.
 //! * **Wall-clock** numbers vary with the machine and load, so the
 //!   thresholds are deliberately generous (throughput may drop to 35%
 //!   of baseline, snapshot/restore may grow 2.5×) — they catch
 //!   order-of-magnitude regressions like an accidentally quadratic hot
 //!   path, not noise.
 
+use std::path::Path;
 use std::time::Instant;
 
 use fa_allocext::ExtAllocator;
@@ -31,9 +28,6 @@ use fa_mem::{Addr, Perms, SimMemory, PAGE_SIZE};
 use fa_proc::{Process, ProcessCtx};
 use first_aid_core::{DiagnosisEngine, DiagnosisOutcome, EngineConfig, FaultPlan};
 use serde::{Deserialize, Serialize};
-
-/// Wave width used for the parallel diagnosis measurements.
-pub const PARALLELISM: usize = 8;
 
 /// Normal-run throughput of one application (no bug triggers).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -78,36 +72,17 @@ pub struct MemSubstrate {
     pub guard_flip_ns: f64,
 }
 
-/// Sequential-vs-parallel diagnosis latency for one application.
+/// Diagnosis latency for one application.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DiagnosisLatency {
     /// Application key.
     pub app: String,
-    /// Wave width of the parallel run.
-    pub parallelism: usize,
-    /// Wall-clock latency of the sequential diagnosis, in milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Wall-clock latency of the parallel diagnosis, in milliseconds.
-    pub parallel_wall_ms: f64,
-    /// Virtual time charged by the sequential diagnosis, in milliseconds.
-    pub sequential_virtual_ms: f64,
-    /// Virtual time charged by the parallel diagnosis, in milliseconds.
-    pub parallel_virtual_ms: f64,
-    /// `sequential_virtual_ms / parallel_virtual_ms` — the deterministic
-    /// speedup of the wave scheduler (the gated quantity).
-    pub virtual_speedup: f64,
-    /// Rollback/re-execution trials (identical in both runs by the
-    /// determinism property).
+    /// Wall-clock latency of the diagnosis, in milliseconds.
+    pub wall_ms: f64,
+    /// Virtual time charged by the diagnosis, in milliseconds.
+    pub virtual_ms: f64,
+    /// Rollback/re-execution trials.
     pub rollbacks: usize,
-    /// Speculative trials launched by the parallel run.
-    pub speculative_trials: usize,
-    /// Speculative results consumed by the parallel run.
-    pub speculative_hits: usize,
-    /// Waves that ran with at least one speculative trial.
-    pub parallel_waves: usize,
-    /// Pooled trial contexts recycled (not forked fresh) by the
-    /// parallel run's wave scheduler.
-    pub slab_reuses: usize,
 }
 
 /// The full benchmark report (`results/perf.json`).
@@ -119,7 +94,7 @@ pub struct PerfReport {
     pub snapshot: SnapshotCost,
     /// Memory-substrate hot paths (TLB hit rate, guard-flip cost).
     pub memory: MemSubstrate,
-    /// Diagnosis latency, sequential vs parallel.
+    /// Diagnosis latency.
     pub diagnosis: Vec<DiagnosisLatency>,
 }
 
@@ -249,60 +224,23 @@ fn build_failed(spec: &AppSpec) -> (Process, CheckpointManager) {
     (p, mgr)
 }
 
-struct DiagnoseStats {
-    launched: usize,
-    hits: usize,
-    waves: usize,
-    slab_reuses: usize,
-}
-
-fn diagnose(spec: &AppSpec, parallelism: usize) -> (f64, first_aid_core::Diagnosis, DiagnoseStats) {
-    let (mut p, mgr) = build_failed(spec);
-    let config = EngineConfig {
-        parallelism,
-        ..EngineConfig::default()
-    };
-    let engine = DiagnosisEngine::with_faults(config, FaultPlan::none());
+/// Measures the diagnosis latency of one app's failure.
+fn measure_diagnosis(key: &str) -> DiagnosisLatency {
+    let spec = spec_by_key(key).unwrap();
+    let (mut p, mgr) = build_failed(&spec);
+    let engine = DiagnosisEngine::with_faults(EngineConfig::default(), FaultPlan::none());
     let t = Instant::now();
     let outcome = engine.diagnose(&mut p, &mgr);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let d = match outcome {
         DiagnosisOutcome::Diagnosed(d) => d,
-        other => panic!("{}: diagnosis must succeed, got {other:?}", spec.key),
+        other => panic!("{key}: diagnosis must succeed, got {other:?}"),
     };
-    let stats = DiagnoseStats {
-        launched: engine.speculative_trials(),
-        hits: engine.speculative_hits(),
-        waves: engine.parallel_waves(),
-        slab_reuses: engine.slab_reuses(),
-    };
-    (wall_ms, d, stats)
-}
-
-/// Measures sequential vs parallel diagnosis latency for one app.
-fn measure_diagnosis(key: &str) -> DiagnosisLatency {
-    let spec = spec_by_key(key).unwrap();
-    let (seq_wall, seq_d, _) = diagnose(&spec, 1);
-    let (par_wall, par_d, stats) = diagnose(&spec, PARALLELISM);
-    assert_eq!(
-        seq_d.rollbacks, par_d.rollbacks,
-        "{key}: parallelism changed the rollback count"
-    );
-    let seq_virtual_ms = seq_d.elapsed_ns as f64 / 1e6;
-    let par_virtual_ms = par_d.elapsed_ns as f64 / 1e6;
     DiagnosisLatency {
         app: key.to_owned(),
-        parallelism: PARALLELISM,
-        sequential_wall_ms: seq_wall,
-        parallel_wall_ms: par_wall,
-        sequential_virtual_ms: seq_virtual_ms,
-        parallel_virtual_ms: par_virtual_ms,
-        virtual_speedup: seq_virtual_ms / par_virtual_ms,
-        rollbacks: seq_d.rollbacks,
-        speculative_trials: stats.launched,
-        speculative_hits: stats.hits,
-        parallel_waves: stats.waves,
-        slab_reuses: stats.slab_reuses,
+        wall_ms,
+        virtual_ms: d.elapsed_ns as f64 / 1e6,
+        rollbacks: d.rollbacks,
     }
 }
 
@@ -328,20 +266,27 @@ pub fn measure(quick: bool) -> PerfReport {
     }
 }
 
+/// Loads the committed baseline at `path`. A missing file is `Ok(None)`
+/// (only the absolute gates apply); a file that exists but cannot be read
+/// or parsed is an error, so a schema change cannot silently disable the
+/// baseline gates.
+pub fn load_baseline(path: &Path) -> Result<Option<PerfReport>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    serde_json::from_str(&text)
+        .map(Some)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
 /// Compares `current` against `baseline`, returning the violations.
 ///
-/// The ≥2× virtual-speedup gate is absolute (it holds with or without a
-/// baseline); the remaining gates need a baseline to compare against.
+/// The TLB floor is absolute (it holds with or without a baseline); the
+/// remaining gates need a baseline to compare against.
 pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String> {
     let mut violations = Vec::new();
-    for d in &current.diagnosis {
-        if d.virtual_speedup < 2.0 {
-            violations.push(format!(
-                "{}: parallel diagnosis speedup {:.2}x is below the 2x gate",
-                d.app, d.virtual_speedup
-            ));
-        }
-    }
     if current.memory.tlb_hit_rate < 0.5 {
         violations.push(format!(
             "TLB hit rate {:.1}% is below the absolute 50% floor",
@@ -388,21 +333,11 @@ pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String>
     }
     for cur in &current.diagnosis {
         if let Some(b) = base.diagnosis.iter().find(|b| b.app == cur.app) {
-            for (what, now, then) in [
-                (
-                    "sequential",
-                    cur.sequential_virtual_ms,
-                    b.sequential_virtual_ms,
-                ),
-                ("parallel", cur.parallel_virtual_ms, b.parallel_virtual_ms),
-            ] {
-                if now > then * 1.25 {
-                    violations.push(format!(
-                        "{}: {what} diagnosis virtual time {now:.2}ms exceeds \
-                         1.25x baseline {then:.2}ms",
-                        cur.app
-                    ));
-                }
+            if cur.virtual_ms > b.virtual_ms * 1.25 {
+                violations.push(format!(
+                    "{}: diagnosis virtual time {:.2}ms exceeds 1.25x baseline {:.2}ms",
+                    cur.app, cur.virtual_ms, b.virtual_ms
+                ));
             }
         }
     }
@@ -431,25 +366,48 @@ pub fn render(r: &PerfReport) -> String {
         r.memory.guard_flip_ns,
         r.memory.flips
     ));
-    out.push_str("Diagnosis latency, sequential vs parallel\n");
+    out.push_str("Diagnosis latency\n");
     for d in &r.diagnosis {
         out.push_str(&format!(
-            "  {:<12} virtual {:>8.2} -> {:>8.2} ms ({:.2}x, width {})  \
-             wall {:>7.1} -> {:>7.1} ms  {} rollbacks, {} waves, {}/{} spec hits, \
-             {} slab reuses\n",
-            d.app,
-            d.sequential_virtual_ms,
-            d.parallel_virtual_ms,
-            d.virtual_speedup,
-            d.parallelism,
-            d.sequential_wall_ms,
-            d.parallel_wall_ms,
-            d.rollbacks,
-            d.parallel_waves,
-            d.speculative_hits,
-            d.speculative_trials,
-            d.slab_reuses,
+            "  {:<12} virtual {:>8.2} ms  wall {:>7.1} ms  {} rollbacks\n",
+            d.app, d.virtual_ms, d.wall_ms, d.rollbacks,
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("fa-perf-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn missing_baseline_is_none() {
+        let path = temp_path("missing.json");
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(load_baseline(&path), Ok(None)));
+    }
+
+    #[test]
+    fn unparseable_baseline_is_an_error() {
+        // A baseline in another schema must fail the gate, not disable it.
+        let path = temp_path("stale.json");
+        std::fs::write(&path, r#"{"throughput": [], "diagnosis": 3}"#).unwrap();
+        let result = load_baseline(&path);
+        std::fs::remove_file(&path).unwrap();
+        let err = result.unwrap_err();
+        assert!(err.contains("cannot parse"), "{err}");
+    }
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/perf.json");
+        let base = load_baseline(&path)
+            .unwrap()
+            .expect("results/perf.json is committed");
+        assert_eq!(base.diagnosis.len(), 2);
+    }
 }

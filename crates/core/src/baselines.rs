@@ -3,9 +3,9 @@
 
 use fa_allocext::{ChangePlan, ExtAllocator, PatchSet};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
+use fa_exec::{expect_ext, ReexecOptions, ReplayHarness};
 use fa_proc::{BoxedApp, Fault, Input, Process, ProcessCtx, StepResult};
 
-use crate::harness::{expect_ext, ReexecOptions, ReplayHarness};
 use crate::log;
 use crate::metrics::ThroughputSampler;
 use crate::runtime::RunSummary;

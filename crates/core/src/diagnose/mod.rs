@@ -8,47 +8,26 @@
 //! uninitialized read.
 //!
 //! The engine never drives rollback/replay plumbing itself: every trial is
-//! a [`TrialSpec`] executed on an fa-exec [`fa_exec::TrialSubstrate`] —
-//! [`fa_exec::ManagedSubstrate`] for the sequential leader path,
-//! [`fa_exec::SlabSubstrate`] on pooled contexts for speculation. The
-//! engine's three concerns are split across submodules: `probes` (spec
+//! a [`TrialSpec`] re-executed on the supervised process through
+//! [`ReplayHarness::try_reexecute`], one at a time, as in the paper. The
+//! engine's concerns are split across submodules: `probes` (spec
 //! construction, manifestation rules, and the sentry fast path
 //! [`DiagnosisEngine::diagnose_fast`]), `tree` (the O(M·log N) call-site
-//! bisection), and `waves` (the speculative wave scheduler and
-//! commit-order accounting).
-//!
-//! # Parallel speculative trials
-//!
-//! With [`EngineConfig::parallelism`] > 1 the engine runs *waves* of
-//! rollback/re-execution trials concurrently. Every trial is a pure
-//! function of its [`TrialSpec`] (re-execution always begins with a
-//! rollback, so no state leaks between trials), which makes it sound to
-//! execute the trials the sequential algorithm *would* run next — both
-//! branches of upcoming decisions — speculatively on pooled processes
-//! restored from cloned checkpoint snapshots (cheap: COW `Arc` clones per
-//! page, and cheaper still when a recycled slab context already shares
-//! most pages with the snapshot). The driver then consumes results from
-//! the wave cache in the exact sequential order; a prediction miss
-//! discards the cache and starts a new wave. Virtual time is charged as
-//! the running *maximum* over the trials of a wave rather than their sum,
-//! modelling concurrent execution; every other ledger quantity (rollback
-//! count, log, fault-plan consultation order, and the resulting
-//! [`Diagnosis`]) is identical to the sequential engine's.
+//! bisection), and `trial` (fault gate, re-execution, watchdog and ledger
+//! charge for one trial).
 
 mod probes;
 mod tree;
-mod waves;
+mod trial;
 
 use std::cell::Cell;
 
 use fa_allocext::{BugType, ChangePlan, Manifestation, Patch, TrapKind, TrapRecord};
 use fa_checkpoint::CheckpointManager;
-use fa_exec::{FaError, ProcessSlab, ReplayHarness, TrialLedger as Ledger, TrialSpec};
+use fa_exec::{FaError, ReplayHarness, TrialLedger as Ledger, TrialSpec};
 use fa_faults::{FaultPlan, FaultStage};
 use fa_mem::AccessKind;
 use fa_proc::{CallSite, Process};
-
-use waves::SpecCache;
 
 /// Maps a sentry trap to the bug type it evidences.
 pub fn trap_bug_type(trap: &TrapRecord) -> BugType {
@@ -99,15 +78,9 @@ pub struct EngineConfig {
     /// Per-trial virtual-time deadline enforced by the hung-trial
     /// watchdog; `0` disables the overrun check (injected hangs are
     /// still reaped). A trial past its deadline is declared lost and
-    /// recovery degrades (descends the ladder) instead of wedging the
-    /// wave.
+    /// recovery degrades (descends the ladder) instead of wedging
+    /// diagnosis.
     pub trial_deadline_ns: u64,
-    /// Width of a speculative trial wave (worker threads running
-    /// independent rollback/re-execution trials concurrently). `1`
-    /// reproduces the sequential engine byte for byte; larger widths
-    /// produce the identical [`Diagnosis`] while charging less virtual
-    /// time (max over a wave instead of the sum).
-    pub parallelism: usize,
 }
 
 impl Default for EngineConfig {
@@ -121,7 +94,6 @@ impl Default for EngineConfig {
             reexec_retries: 2,
             retry_backoff_ns: 2_000_000,
             trial_deadline_ns: 60_000_000_000,
-            parallelism: 1,
         }
     }
 }
@@ -194,18 +166,13 @@ impl Diagnosis {
 
 /// The diagnosis engine. Almost stateless; state lives in the process,
 /// the checkpoint manager, and the returned [`Diagnosis`] — the engine
-/// itself only tracks the flaky-retry and speculation counters of the
-/// current diagnosis and holds the fault plan it consults before each
-/// committed re-execution.
+/// itself only tracks the retry, hang and error counters of the current
+/// diagnosis and holds the fault plan it consults before each
+/// re-execution.
 pub struct DiagnosisEngine {
     config: EngineConfig,
     faults: FaultPlan,
     retries: Cell<usize>,
-    spec_launched: Cell<usize>,
-    spec_hits: Cell<usize>,
-    spec_wasted: Cell<usize>,
-    waves: Cell<usize>,
-    slab_reuses: Cell<usize>,
     trial_errors: Cell<usize>,
     trial_hangs: Cell<usize>,
 }
@@ -222,11 +189,6 @@ impl DiagnosisEngine {
             config,
             faults,
             retries: Cell::new(0),
-            spec_launched: Cell::new(0),
-            spec_hits: Cell::new(0),
-            spec_wasted: Cell::new(0),
-            waves: Cell::new(0),
-            slab_reuses: Cell::new(0),
             trial_errors: Cell::new(0),
             trial_hangs: Cell::new(0),
         }
@@ -237,30 +199,12 @@ impl DiagnosisEngine {
         self.retries.get()
     }
 
-    /// Speculative trials launched by the parallel scheduler.
-    pub fn speculative_trials(&self) -> usize {
-        self.spec_launched.get()
-    }
-
-    /// Speculative results consumed by later diagnosis steps.
-    pub fn speculative_hits(&self) -> usize {
-        self.spec_hits.get()
-    }
-
-    /// Speculative results discarded (mispredicted or superseded).
-    pub fn speculative_wasted(&self) -> usize {
-        self.spec_wasted.get()
-    }
-
-    /// Waves that ran with at least one speculative trial.
-    pub fn parallel_waves(&self) -> usize {
-        self.waves.get()
-    }
-
-    /// Trial contexts served by recycling a pooled slab process instead
-    /// of forking a fresh one.
+    /// Always 0: diagnosis runs its trials on the supervised process and
+    /// pools no trial contexts. Kept only because
+    /// `benchmark/src/recovery.rs:125` reads it; remove it together with
+    /// that read.
     pub fn slab_reuses(&self) -> usize {
-        self.slab_reuses.get()
+        0
     }
 
     /// Trials that could not run (lost checkpoint, poisoned worker);
@@ -301,8 +245,6 @@ impl DiagnosisEngine {
             failure.fault,
             failure.at_ns as f64 / 1e9
         ));
-        let mut cache = SpecCache::default();
-        let mut slab = ProcessSlab::new();
 
         // Injected wedge: the whole diagnosis hangs and blows its
         // deadline without producing anything.
@@ -337,27 +279,14 @@ impl DiagnosisEngine {
                 log: ledger.log,
             };
         };
-        let newest_id = newest.id;
         let spec = TrialSpec {
-            ckpt_id: newest_id,
+            ckpt_id: newest.id,
             plan: ChangePlan::none(),
             mark: false,
             timing_seed: 0xfa11,
             until,
         };
-        // Speculate the deterministic branch: phase 1 at the newest
-        // checkpoint, then the phase-2 probe chain assuming it survives.
-        let mut tail = vec![Self::phase1_spec(newest_id, until)];
-        tail.extend(Self::phase2_tail(newest_id, &BugType::ALL, &[], until));
-        let r = self.fetch(
-            process,
-            manager,
-            &mut slab,
-            &mut cache,
-            &mut ledger,
-            spec,
-            tail,
-        );
+        let r = self.run(process, manager, &mut ledger, &spec);
         if r.passed {
             ledger.log.push(
                 "plain re-execution with timing changes passed: non-deterministic bug".into(),
@@ -391,26 +320,7 @@ impl DiagnosisEngine {
                 break;
             };
             let id = ckpt.id;
-            let spec = Self::phase1_spec(id, until);
-            // Speculate both branches: this checkpoint fails (try the
-            // older ones) and this checkpoint survives (probe here).
-            let mut tail: Vec<TrialSpec> = Vec::new();
-            for kk in k + 1..self.config.max_checkpoint_tries {
-                match manager.nth_newest(kk) {
-                    Some(c) => tail.push(Self::phase1_spec(c.id, until)),
-                    None => break,
-                }
-            }
-            tail.extend(Self::phase2_tail(id, &BugType::ALL, &[], until));
-            let r = self.fetch(
-                process,
-                manager,
-                &mut slab,
-                &mut cache,
-                &mut ledger,
-                spec,
-                tail,
-            );
+            let r = self.run(process, manager, &mut ledger, &Self::phase1_spec(id, until));
             if r.passed && !r.mark_corrupt() {
                 ledger.log.push(format!(
                     "phase 1: checkpoint {id} (-{k}) survives with all preventive changes \
@@ -463,16 +373,7 @@ impl DiagnosisEngine {
                 timing_seed: 0,
                 until,
             };
-            let tail = Self::phase2_tail(ckpt_id, &su, &si_bugs, until);
-            let r = self.fetch(
-                process,
-                manager,
-                &mut slab,
-                &mut cache,
-                &mut ledger,
-                spec,
-                tail,
-            );
+            let r = self.run(process, manager, &mut ledger, &spec);
             let manifested = Self::manifested(probe_bug, &r);
             ledger.log.push(format!(
                 "phase 2: probe {probe_bug}: {}",
@@ -495,8 +396,6 @@ impl DiagnosisEngine {
                     let sites = self.binary_search_sites(
                         process,
                         manager,
-                        &mut slab,
-                        &mut cache,
                         ckpt_id,
                         probe_bug,
                         &prevent_rest,
@@ -521,17 +420,7 @@ impl DiagnosisEngine {
                 if !su.is_empty() {
                     let si_bugs: Vec<BugType> = si.iter().map(|d| d.bug).collect();
                     let spec = Self::coverage_spec(ckpt_id, &su, &si_bugs, until);
-                    // Residue branch: the probe chain continues.
-                    let tail = Self::phase2_tail(ckpt_id, &su, &si_bugs, until);
-                    let r = self.fetch(
-                        process,
-                        manager,
-                        &mut slab,
-                        &mut cache,
-                        &mut ledger,
-                        spec,
-                        tail,
-                    );
+                    let r = self.run(process, manager, &mut ledger, &spec);
                     if r.passed && r.manifests.is_empty() {
                         ledger
                             .log

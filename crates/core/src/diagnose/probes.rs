@@ -1,19 +1,13 @@
 //! Probe semantics: trial-spec constructors, manifestation rules, and the
 //! sentry fast path.
-//!
-//! The spec constructors are shared by the drivers and the speculation
-//! generators, so predicted and actual specs compare equal — the property
-//! the wave cache keys on.
-
-use std::collections::{HashSet, VecDeque};
 
 use fa_allocext::{BugType, ChangePlan, Manifestation, Mode, TrapRecord};
 use fa_checkpoint::CheckpointManager;
-use fa_exec::{ProcessSlab, ReplayHarness, RunReport, TrialLedger as Ledger, TrialSpec};
+use fa_exec::{ReplayHarness, RunReport, TrialLedger as Ledger, TrialSpec};
 use fa_faults::FaultStage;
 use fa_proc::{CallSite, Process};
 
-use super::{trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, SpecCache};
+use super::{trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine};
 
 impl DiagnosisEngine {
     /// Sentry fast-path diagnosis: a trapped failure arrives with the bug
@@ -49,8 +43,6 @@ impl DiagnosisEngine {
         if self.faults.should_fail(FaultStage::DiagnosisTimeout) {
             return None;
         }
-        let mut cache = SpecCache::default();
-        let mut slab = ProcessSlab::new();
         // Checkpoint selection follows the ladder's phase-1 rule (latest
         // checkpoint that survives all-preventive with clean marks) so
         // both paths bisect over the same re-execution window — a later
@@ -64,8 +56,7 @@ impl DiagnosisEngine {
                 break;
             };
             let id = ckpt.id;
-            let r = self.run(process, manager, &Self::phase1_spec(id, until));
-            ledger.charge(&r);
+            let r = self.run(process, manager, &mut ledger, &Self::phase1_spec(id, until));
             if r.passed && !r.mark_corrupt() {
                 ledger.log.push(format!(
                     "fast path: checkpoint {id} (-{k}) precedes the trigger"
@@ -85,8 +76,7 @@ impl DiagnosisEngine {
                 timing_seed: 0,
                 until,
             };
-            let r = self.run(process, manager, &spec);
-            ledger.charge(&r);
+            let r = self.run(process, manager, &mut ledger, &spec);
             if !Self::manifested(bug, &r) {
                 ledger.log.push(format!(
                     "fast path: {bug} did not manifest from checkpoint {ckpt_id}; full ladder"
@@ -109,8 +99,7 @@ impl DiagnosisEngine {
                     timing_seed: 0,
                     until,
                 };
-                let r2 = self.run(process, manager, &spec);
-                ledger.charge(&r2);
+                let r2 = self.run(process, manager, &mut ledger, &spec);
                 if !Self::manifested(bug, &r2) {
                     ledger.log.push(format!(
                         "fast path: trapped call-site {:x?} alone accounts for the bug",
@@ -124,8 +113,6 @@ impl DiagnosisEngine {
                     self.binary_search_sites(
                         process,
                         manager,
-                        &mut slab,
-                        &mut cache,
                         ckpt_id,
                         bug,
                         &BugType::ALL,
@@ -237,85 +224,5 @@ impl DiagnosisEngine {
             timing_seed: 0,
             until,
         }
-    }
-
-    /// Speculative phase-2 tail at `ckpt`: the rule-out chain (probe `j`
-    /// runs if probes `0..j` were all ruled out) plus the coverage check
-    /// that follows if the first probe manifests and identifies directly.
-    pub(super) fn phase2_tail(
-        ckpt: u64,
-        su: &[BugType],
-        si: &[BugType],
-        until: usize,
-    ) -> Vec<TrialSpec> {
-        let mut out = Vec::new();
-        for j in 0..su.len() {
-            let prevent: Vec<BugType> = su[j..].iter().chain(si.iter()).copied().collect();
-            out.push(TrialSpec {
-                ckpt_id: ckpt,
-                plan: ChangePlan::probe(su[j], &prevent),
-                mark: false,
-                timing_seed: 0,
-                until,
-            });
-        }
-        if su.len() > 1 {
-            let mut si_plus: Vec<BugType> = si.to_vec();
-            si_plus.push(su[0]);
-            out.push(Self::coverage_spec(ckpt, &su[1..], &si_plus, until));
-        }
-        out
-    }
-
-    /// Speculative tail for the call-site binary search: a breadth-first
-    /// walk of the bisection decision tree over `range`. A node with more
-    /// than one candidate emits the `ExposeOnly(first half)` trial the
-    /// driver runs next on that branch and recurses into both halves; a
-    /// leaf emits the follow-up `ExposeExcept` trial that re-checks for
-    /// further triggering sites once the leaf is identified.
-    pub(super) fn bisect_tail(
-        bug: BugType,
-        prevent: &[BugType],
-        ckpt: u64,
-        until: usize,
-        range: &[CallSite],
-        identified: &[CallSite],
-    ) -> Vec<TrialSpec> {
-        let mut out = Vec::new();
-        let mut queue: VecDeque<Vec<CallSite>> = VecDeque::new();
-        queue.push_back(range.to_vec());
-        while let Some(r) = queue.pop_front() {
-            match r.len() {
-                0 => {}
-                1 => {
-                    let mut except: HashSet<CallSite> = identified.iter().copied().collect();
-                    except.insert(r[0]);
-                    let mut plan = ChangePlan::probe(bug, prevent);
-                    *plan.mode_mut(bug) = Mode::ExposeExcept(except);
-                    out.push(TrialSpec {
-                        ckpt_id: ckpt,
-                        plan,
-                        mark: false,
-                        timing_seed: 0,
-                        until,
-                    });
-                }
-                n => {
-                    let half: HashSet<CallSite> = r[..n / 2].iter().copied().collect();
-                    let mut plan = ChangePlan::probe(bug, prevent);
-                    *plan.mode_mut(bug) = Mode::ExposeOnly(half);
-                    out.push(TrialSpec {
-                        ckpt_id: ckpt,
-                        plan,
-                        mark: false,
-                        timing_seed: 0,
-                        until,
-                    });
-                    queue.push_back(r[..n / 2].to_vec());
-                    queue.push_back(r[n / 2..].to_vec());
-                }
-            }
-        }
-        out
     }
 }

@@ -11,10 +11,10 @@ use std::collections::HashSet;
 
 use fa_allocext::{BugType, ChangePlan, Mode};
 use fa_checkpoint::CheckpointManager;
-use fa_exec::{ProcessSlab, RunReport, TrialLedger as Ledger, TrialSpec};
+use fa_exec::{RunReport, TrialLedger as Ledger, TrialSpec};
 use fa_proc::{CallSite, Process};
 
-use super::{DiagnosisEngine, SpecCache};
+use super::DiagnosisEngine;
 
 impl DiagnosisEngine {
     /// Binary call-site search for dangling-read / uninit-read bugs:
@@ -24,8 +24,6 @@ impl DiagnosisEngine {
         &self,
         process: &mut Process,
         manager: &CheckpointManager,
-        slab: &mut ProcessSlab,
-        cache: &mut SpecCache,
         ckpt_id: u64,
         bug: BugType,
         prevent: &[BugType],
@@ -63,15 +61,7 @@ impl DiagnosisEngine {
                 timing_seed: 0,
                 until,
             };
-            // Speculate the bisection tree over the current candidate
-            // view (a site refresh below can invalidate the prediction).
-            let predicted: Vec<CallSite> = candidates
-                .iter()
-                .filter(|s| !identified.contains(*s))
-                .copied()
-                .collect();
-            let tail = Self::bisect_tail(bug, prevent, ckpt_id, until, &predicted, &identified);
-            let r = self.fetch(process, manager, slab, cache, ledger, spec, tail);
+            let r = self.run(process, manager, ledger, &spec);
             if !Self::manifested(bug, &r) {
                 break;
             }
@@ -109,8 +99,7 @@ impl DiagnosisEngine {
                     timing_seed: 0,
                     until,
                 };
-                let tail = Self::bisect_tail(bug, prevent, ckpt_id, until, &range, &identified);
-                let r = self.fetch(process, manager, slab, cache, ledger, spec, tail);
+                let r = self.run(process, manager, ledger, &spec);
                 if Self::manifested(bug, &r) {
                     range = half;
                 } else {

@@ -57,7 +57,6 @@
 
 pub mod baselines;
 pub mod diagnose;
-pub mod harness;
 pub mod log;
 pub mod metrics;
 pub mod patchpool;
@@ -70,7 +69,6 @@ pub use diagnose::{
     trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, DiagnosisOutcome,
     EngineConfig,
 };
-pub use harness::{ReexecOptions, ReplayHarness, RunReport};
 pub use metrics::{DegradationMetrics, ThroughputSampler};
 pub use patchpool::{
     EventCursor, EventPoll, PatchPool, PoolEvent, PoolEventKind, PoolEvents, QuarantinePolicy,
@@ -86,8 +84,8 @@ pub use validate::{ValidationEngine, ValidationOutcome};
 // fleet workers, benches) can run trials without depending on fa-exec
 // directly.
 pub use fa_exec::{
-    Backoff, FaError, FaResult, FaultGate, ManagedSubstrate, ProcessSlab, SlabSubstrate,
-    TrialLedger, TrialOutcome, TrialSpec, TrialSubstrate, Watchdog, ROLLBACK_COST_NS,
+    Backoff, FaError, FaResult, FaultGate, ReexecOptions, ReplayHarness, RunReport, TrialLedger,
+    TrialSpec, Watchdog, ROLLBACK_COST_NS,
 };
 
 // Re-export the patch and bug-type vocabulary for downstream users.

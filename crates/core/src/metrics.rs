@@ -39,10 +39,6 @@ pub struct DegradationMetrics {
     pub pool_io_errors: u64,
     /// True if the patch pool gave up on persistence and went in-memory.
     pub pool_degraded: bool,
-    /// Speculative diagnosis trials launched by the parallel scheduler.
-    pub speculative_trials: usize,
-    /// Diagnosis waves that ran with at least one speculative trial.
-    pub parallel_waves: usize,
 }
 
 impl DegradationMetrics {
@@ -61,8 +57,6 @@ impl DegradationMetrics {
         self.validation_fork_failures += other.validation_fork_failures;
         self.pool_io_errors += other.pool_io_errors;
         self.pool_degraded |= other.pool_degraded;
-        self.speculative_trials += other.speculative_trials;
-        self.parallel_waves += other.parallel_waves;
     }
 
     /// Total recoveries that descended past the precise rung.

@@ -19,12 +19,12 @@ use std::collections::HashMap;
 
 use fa_allocext::{ExtAllocator, Patch, PatchSet, SentryConfig, SentryMetrics};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager, CheckpointStats};
+use fa_exec::expect_ext;
 use fa_faults::{FaultPlan, FaultStage};
 use fa_proc::{BoxedApp, CallSite, Fault, Input, Process, ProcessCtx, StepResult};
 use fa_wal::{CheckpointOp, SentryOp, WalOp};
 
 use crate::diagnose::{Diagnosis, EngineConfig};
-use crate::harness::expect_ext;
 use crate::metrics::{DegradationMetrics, ThroughputSampler};
 use crate::patchpool::PatchPool;
 use crate::report::BugReport;
@@ -211,9 +211,6 @@ pub struct FirstAidRuntime {
     /// Runtime-side sentry counters (fast-path/full-ladder split, false
     /// traps); the allocator extension keeps the sampling-side counters.
     sentry_counters: SentryMetrics,
-    /// Trial contexts the diagnosis engines served from the pooled slab
-    /// instead of forking fresh, accumulated across recoveries.
-    slab_reuses: usize,
     /// Trials that degraded to failed runs instead of aborting recovery,
     /// accumulated across recoveries.
     trial_errors: usize,
@@ -268,7 +265,6 @@ impl FirstAidRuntime {
             monitor: HashMap::new(),
             drop_streak: 0,
             sentry_counters: SentryMetrics::default(),
-            slab_reuses: 0,
             trial_errors: 0,
             recoveries: Vec::new(),
         };
@@ -335,12 +331,6 @@ impl FirstAidRuntime {
     /// Returns the shared patch pool.
     pub fn pool(&self) -> &PatchPool {
         &self.pool
-    }
-
-    /// Trial contexts served from the pooled diagnosis slab instead of
-    /// freshly forked, accumulated over all recoveries so far.
-    pub fn slab_reuses(&self) -> usize {
-        self.slab_reuses
     }
 
     /// Diagnosis trials that errored and degraded to failed runs instead

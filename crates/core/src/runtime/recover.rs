@@ -178,9 +178,6 @@ impl FirstAidRuntime {
         };
         self.degradation.reexec_retries += engine.retries_used();
         self.degradation.trial_hangs += engine.trial_hangs();
-        self.degradation.speculative_trials += engine.speculative_trials();
-        self.degradation.parallel_waves += engine.parallel_waves();
-        self.slab_reuses += engine.slab_reuses();
         self.trial_errors += engine.trial_errors();
         let record = match outcome {
             DiagnosisOutcome::NonDeterministic {

@@ -18,10 +18,8 @@
 use std::collections::HashMap;
 
 use fa_allocext::{PatchSet, TraceEvent};
-use fa_exec::ProcessSlab;
+use fa_exec::expect_ext;
 use fa_proc::{ProcSnapshot, Process};
-
-use crate::harness::expect_ext;
 
 /// The result of validating a patch set.
 #[derive(Clone, Debug)]
@@ -97,13 +95,15 @@ impl ValidationEngine {
         let mut trigger_counts: Vec<HashMap<usize, u64>> = Vec::new();
         let mut validation_ns = 0u64;
         let mut failure_reason: Option<String> = None;
-        // One pooled trial context serves every iteration: each loop
-        // rebinds and restores it from `snap`, which only rewrites the
-        // pages the previous iteration diverged.
-        let mut slab = ProcessSlab::new();
+        // One forked context serves every iteration: each later loop
+        // rebinds it to `process` and restores it from `snap`, which only
+        // rewrites the pages the previous iteration diverged.
+        let mut fork = process.fork();
 
         for seed in 1..=self.iterations as u64 {
-            let mut fork = slab.acquire(process);
+            if seed > 1 {
+                fork.rebind(process);
+            }
             fork.restore(snap);
             fork.set_pacing(false);
             let t0 = fork.ctx.clock.now();
@@ -130,14 +130,13 @@ impl ValidationEngine {
             });
             traces.push(trace);
             trigger_counts.push(triggers);
-            slab.release(fork);
         }
 
         // Reference run without patches, for the report diff. Failure here
         // is expected (it is the original bug) and simply truncates the
         // trace.
         let unpatched_trace = {
-            let mut fork = slab.acquire(process);
+            fork.rebind(process);
             fork.restore(snap);
             fork.set_pacing(false);
             fork.ctx.with_alloc_and_mem(|alloc, _mem| {

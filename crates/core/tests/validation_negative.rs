@@ -5,9 +5,12 @@
 //! illegal-access offsets, the consistency check fails, and First-Aid
 //! removes the patch rather than mislead developers.
 
-use fa_checkpoint::AdaptiveConfig;
-use fa_proc::{App, BoxedApp, Fault, Input, InputBuilder, ProcessCtx, Response};
-use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool};
+use fa_allocext::{ExtAllocator, PatchSet};
+use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
+use fa_proc::{App, BoxedApp, Fault, Input, InputBuilder, Process, ProcessCtx, Response};
+use first_aid_core::{
+    DiagnosisEngine, DiagnosisOutcome, FirstAidConfig, FirstAidRuntime, PatchPool, ValidationEngine,
+};
 
 fn config() -> FirstAidConfig {
     FirstAidConfig {
@@ -55,19 +58,23 @@ impl App for SemanticBugApp {
     }
 }
 
-#[test]
-fn semantic_bug_patch_is_rejected_by_randomized_validation() {
-    let pool = PatchPool::in_memory();
-    let mut fa = FirstAidRuntime::launch(Box::new(SemanticBugApp), config(), pool.clone()).unwrap();
-    let w: Vec<Input> = (0..80)
+/// 80 inputs, the 41st triggering the bug.
+fn workload() -> Vec<Input> {
+    (0..80)
         .map(|i| {
             InputBuilder::op(u32::from(i == 40))
                 .a(i)
                 .gap_us(100)
                 .build()
         })
-        .collect();
-    let _ = fa.run(w, None);
+        .collect()
+}
+
+#[test]
+fn semantic_bug_patch_is_rejected_by_randomized_validation() {
+    let pool = PatchPool::in_memory();
+    let mut fa = FirstAidRuntime::launch(Box::new(SemanticBugApp), config(), pool.clone()).unwrap();
+    let _ = fa.run(workload(), None);
 
     let rec = fa
         .recoveries
@@ -132,17 +139,63 @@ fn real_overflow_patch_survives_randomized_validation() {
     let pool = PatchPool::in_memory();
     let mut fa =
         FirstAidRuntime::launch(Box::new(RealOverflowApp), config(), pool.clone()).unwrap();
-    let w: Vec<Input> = (0..80)
-        .map(|i| {
-            InputBuilder::op(u32::from(i == 40))
-                .a(i)
-                .gap_us(100)
-                .build()
-        })
-        .collect();
-    let summary = fa.run(w, None);
+    let summary = fa.run(workload(), None);
     assert_eq!(summary.failures, 1);
     let v = fa.recoveries[0].validation.as_ref().unwrap();
     assert!(v.consistent, "{:?}", v.reason);
     assert_eq!(pool.len("real-overflow"), 1);
+}
+
+/// Runs `app` into its failure under checkpointing, queues the rest of
+/// the workload, and diagnoses it. Returns the process, the diagnosis
+/// checkpoint's snapshot, the patches, and the validation end cursor.
+fn diagnosed(app: BoxedApp) -> (Process, fa_proc::ProcSnapshot, PatchSet, usize) {
+    let mut ctx = ProcessCtx::new(1 << 26);
+    ctx.swap_alloc(|old| Box::new(ExtAllocator::attach(old.heap().clone())));
+    let mut p = Process::launch(app, ctx).unwrap();
+    let mut mgr = CheckpointManager::new(config().adaptive, 16);
+    mgr.force_checkpoint(&mut p);
+    let mut inputs = workload().into_iter();
+    for input in inputs.by_ref() {
+        if !p.feed(input).is_ok() {
+            break;
+        }
+        mgr.maybe_checkpoint(&mut p);
+    }
+    inputs.for_each(|input| p.enqueue(input));
+    let DiagnosisOutcome::Diagnosed(d) = DiagnosisEngine::default().diagnose(&mut p, &mgr) else {
+        panic!("the failure must be diagnosed");
+    };
+    let patches = PatchSet::from_patches(d.patches(&p.ctx.symbols));
+    let snap = mgr.get(d.checkpoint_id).unwrap().snap.clone();
+    (p, snap, patches, d.until_cursor)
+}
+
+/// `validate` forks one context and rebinds + restores it for every
+/// iteration; no state may leak from one call (or iteration) into the
+/// next, whether the iterations pass or one fails under randomization.
+#[test]
+fn validation_is_repeatable_on_the_same_inputs() {
+    let apps: [BoxedApp; 2] = [Box::new(RealOverflowApp), Box::new(SemanticBugApp)];
+    for app in apps {
+        let name = app.name();
+        let (p, snap, patches, until) = diagnosed(app);
+        let engine = ValidationEngine::default();
+        let first = engine.validate(&p, &snap, &patches, until);
+        let second = engine.validate(&p, &snap, &patches, until);
+        assert!(first.iterations > 0, "{name}: at least one iteration ran");
+        assert_eq!(first.traces, second.traces, "{name}");
+        assert_eq!(first.trigger_counts, second.trigger_counts, "{name}");
+        assert_eq!(first.validation_ns, second.validation_ns, "{name}");
+        assert_eq!(first.unpatched_trace, second.unpatched_trace, "{name}");
+        assert_eq!(first.consistent, second.consistent, "{name}");
+        // The unpatched reference run reuses the iterations' context; it
+        // must match a run on a context no iteration touched.
+        let fresh = ValidationEngine::new(0).validate(&p, &snap, &patches, until);
+        assert!(
+            !fresh.unpatched_trace.is_empty(),
+            "{name}: the reference run replays"
+        );
+        assert_eq!(fresh.unpatched_trace, first.unpatched_trace, "{name}");
+    }
 }

@@ -44,7 +44,7 @@ pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
             .inject(FaultStage::ReexecFlaky, Injection::PerMille(300))
             .build(),
         // ~25% of diagnosis trials wedge; the watchdog must reap and
-        // retry them (and escalate, never stall a wave).
+        // retry them (and escalate, never stall diagnosis).
         "trial-hang" => FaultPlan::builder(seed)
             .inject(FaultStage::TrialHang, Injection::PerMille(250))
             .build(),

@@ -124,45 +124,7 @@ impl ReplayHarness {
         Self::try_replay_after_rollback(process, plan, opts)
     }
 
-    /// Re-executes `process` from a raw snapshot, without going through a
-    /// [`CheckpointManager`].
-    ///
-    /// This is the speculative-trial entry point: the parallel diagnosis
-    /// scheduler hands each worker thread a pooled (or forked) process
-    /// plus a clone of the checkpoint's snapshot and replays there,
-    /// leaving the main process (and the manager's ring) untouched. The
-    /// rollback side effects mirror [`CheckpointManager::rollback_to`]
-    /// exactly — same restore, same fixed rollback cost, same dirty-page
-    /// reset — so a trial produces a byte-identical [`RunReport`] whether
-    /// it runs here or through [`Self::reexecute`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process does not run on an [`ExtAllocator`]. Use
-    /// [`Self::try_reexecute_on`] to get an error instead.
-    pub fn reexecute_on(
-        process: &mut Process,
-        snap: &fa_proc::ProcSnapshot,
-        plan: ChangePlan,
-        opts: &ReexecOptions,
-    ) -> RunReport {
-        Self::try_reexecute_on(process, snap, plan, opts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Self::reexecute_on`].
-    pub fn try_reexecute_on(
-        process: &mut Process,
-        snap: &fa_proc::ProcSnapshot,
-        plan: ChangePlan,
-        opts: &ReexecOptions,
-    ) -> FaResult<RunReport> {
-        process.restore(snap);
-        process.ctx.clock.advance(ROLLBACK_COST_NS);
-        process.ctx.mem.take_dirty_pages();
-        Self::try_replay_after_rollback(process, plan, opts)
-    }
-
-    /// The shared replay body: assumes the process is already rolled back.
+    /// The replay body: assumes the process is already rolled back.
     fn try_replay_after_rollback(
         process: &mut Process,
         plan: ChangePlan,
@@ -418,56 +380,6 @@ mod tests {
         );
         assert!(r.manifested(BugType::BufferOverflow));
         assert!(!r.alloc_sites.is_empty());
-    }
-
-    #[test]
-    fn reexecute_on_fork_matches_reexecute() {
-        let (mut proc, mut mgr) = launch();
-        for i in 0..5 {
-            proc.feed(normal(i));
-        }
-        let ckpt = mgr.force_checkpoint(&mut proc);
-        for i in 0..3 {
-            proc.feed(normal(i));
-        }
-        proc.feed(buggy());
-        let failure_index = proc.failure.as_ref().unwrap().input_index;
-        for i in 0..3 {
-            proc.enqueue(normal(i));
-        }
-        let until = ReplayHarness::success_end_cursor(&proc, failure_index, 150_000);
-        let opts = ReexecOptions {
-            mark_heap: false,
-            timing_seed: 7,
-            until_cursor: until,
-            integrity_check: false,
-        };
-
-        // Speculative replay on a fork from the raw snapshot...
-        let mut fork = proc.fork();
-        let snap = mgr.get(ckpt).unwrap().snap.clone();
-        let spec = ReplayHarness::reexecute_on(
-            &mut fork,
-            &snap,
-            ChangePlan::probe(BugType::BufferOverflow, &BugType::ALL),
-            &opts,
-        );
-        // ...must match the managed rollback path byte for byte.
-        let main = ReplayHarness::reexecute(
-            &mut proc,
-            &mgr,
-            ckpt,
-            ChangePlan::probe(BugType::BufferOverflow, &BugType::ALL),
-            &opts,
-        );
-        assert_eq!(spec.passed, main.passed);
-        assert_eq!(spec.manifests.len(), main.manifests.len());
-        assert_eq!(spec.alloc_sites, main.alloc_sites);
-        assert_eq!(spec.dealloc_sites, main.dealloc_sites);
-        assert_eq!(spec.quarantine_reads, main.quarantine_reads);
-        assert_eq!(spec.uninit_reads, main.uninit_reads);
-        assert_eq!(spec.elapsed_ns, main.elapsed_ns);
-        assert!(spec.manifested(BugType::BufferOverflow));
     }
 
     #[test]

@@ -4,28 +4,23 @@
 //! changes* (paper §3.3): roll the crashed process back to a checkpoint,
 //! perturb the allocator's behaviour, replay the logged inputs, and see
 //! whether the failure moves. Four subsystems drive that loop — the core
-//! runtime's recovery path and degradation ladder, the diagnosis engine's
-//! speculative trial waves, fa-sentry's fast path, and fa-fleet workers.
-//! This crate is the one place the loop is implemented:
+//! runtime's recovery path and degradation ladder, the diagnosis engine,
+//! fa-sentry's fast path, and fa-fleet workers. This crate is the one
+//! place the loop is implemented:
 //!
-//! * [`ReplayHarness`] — rollback + [`ChangePlan`](fa_allocext::ChangePlan)
-//!   + replay + scan, with panicking and fallible (`try_`) entry points;
-//! * [`TrialSpec`] / [`TrialOutcome`] — a trial as a pure value and its
-//!   result;
-//! * [`TrialSubstrate`] — *where* a trial runs: [`ManagedSubstrate`] on
-//!   the supervised process through the checkpoint ring, or
-//!   [`SlabSubstrate`] on a pooled context against a cloned snapshot;
-//! * [`ProcessSlab`] — recycled trial contexts, reset via the diff-aware
-//!   `SimMemory::restore` instead of rebuilt from scratch;
-//! * [`FaultGate`] / [`TrialLedger`] — injected-flakiness resolution in
-//!   sequential commit order and virtual-clock accounting;
+//! * [`ReplayHarness`] — rollback through the checkpoint ring +
+//!   [`ChangePlan`](fa_allocext::ChangePlan) + replay + scan, with
+//!   panicking and fallible (`try_`) entry points;
+//! * [`TrialSpec`] — a trial as a pure value;
+//! * [`FaultGate`] / [`Watchdog`] / [`TrialLedger`] — injected-flakiness
+//!   resolution and hung-trial reaping, once per trial in trial order,
+//!   and virtual-clock accounting;
 //! * [`FaError`] — typed failures, so a poisoned trial degrades instead
 //!   of aborting the supervisor.
 
 mod backoff;
 mod error;
 mod harness;
-mod slab;
 mod spec;
 mod substrate;
 mod watchdog;
@@ -33,7 +28,6 @@ mod watchdog;
 pub use backoff::Backoff;
 pub use error::{FaError, FaResult};
 pub use harness::{expect_ext, try_ext, ReexecOptions, ReplayHarness, RunReport, ROLLBACK_COST_NS};
-pub use slab::ProcessSlab;
-pub use spec::{TrialOutcome, TrialSpec};
-pub use substrate::{FaultGate, ManagedSubstrate, SlabSubstrate, TrialLedger, TrialSubstrate};
+pub use spec::TrialSpec;
+pub use substrate::{FaultGate, TrialLedger};
 pub use watchdog::Watchdog;

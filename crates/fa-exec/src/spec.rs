@@ -2,18 +2,15 @@
 
 use fa_allocext::ChangePlan;
 
-use crate::harness::{ReexecOptions, RunReport};
+use crate::harness::ReexecOptions;
 
 /// One fully-specified re-execution trial.
 ///
 /// A trial is a pure function of its spec (given the frozen input log):
 /// roll back to `ckpt_id`, install `plan` on the allocator extension,
 /// optionally heap-mark, perturb timing with `timing_seed`, and replay
-/// until `until`. Pureness is what makes speculation sound — the
-/// diagnosis scheduler can run a spec on any [`crate::TrialSubstrate`]
-/// (the supervised process, a fork, a pooled slab context) and commit
-/// the report as if it had executed sequentially.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// until `until`.
+#[derive(Clone, Debug)]
 pub struct TrialSpec {
     /// Checkpoint to roll back to.
     pub ckpt_id: u64,
@@ -40,7 +37,3 @@ impl TrialSpec {
         }
     }
 }
-
-/// What a completed trial yields. Today this is exactly the harness
-/// [`RunReport`]; the alias is the substrate's name for it.
-pub type TrialOutcome = RunReport;

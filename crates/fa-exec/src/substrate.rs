@@ -1,153 +1,26 @@
-//! Where trials run: the [`TrialSubstrate`] trait and its two
-//! implementations, plus the fault gate and the virtual-clock ledger.
+//! What every trial path shares besides the replay itself: the fault
+//! gate that resolves injected flakiness, and the virtual-clock ledger.
 //!
 //! Four subsystems drive re-execution trials — the recovery path in the
-//! core runtime, the diagnosis wave scheduler, fa-sentry's fast path, and
-//! fa-fleet workers. Each used to carry its own copy of the
-//! fork/restore/replay/fault-gate plumbing. The substrate is that
-//! plumbing made first-class: a trial is a [`TrialSpec`], a place to run
-//! it is a `TrialSubstrate`, and everything above chooses *which* trials
-//! to run, never *how*.
+//! core runtime, the diagnosis engine, fa-sentry's fast path, and
+//! fa-fleet workers. A trial is a [`crate::TrialSpec`] replayed through
+//! [`crate::ReplayHarness`]; everything above chooses *which* trials to
+//! run, never *how*.
 
 use std::cell::Cell;
 
-use fa_checkpoint::CheckpointManager;
 use fa_faults::{FaultPlan, FaultStage};
-use fa_proc::{ProcSnapshot, Process};
 
 use crate::backoff::Backoff;
-use crate::error::FaResult;
-use crate::harness::{ReplayHarness, RunReport, ROLLBACK_COST_NS};
-use crate::spec::{TrialOutcome, TrialSpec};
-
-/// A place where rollback/re-execution trials run.
-///
-/// Implementations differ only in where the rolled-back state lives (the
-/// supervised process against the checkpoint ring, or a pooled context
-/// against a cloned snapshot); a given [`TrialSpec`] must produce a
-/// byte-identical [`TrialOutcome`] on any substrate.
-pub trait TrialSubstrate {
-    /// Snapshots the subject process (raw, manager-independent).
-    fn snapshot(&mut self) -> ProcSnapshot;
-
-    /// Restores the subject process from a raw snapshot, applying the
-    /// same fixed rollback cost and dirty-page reset as a managed
-    /// rollback.
-    fn restore(&mut self, snap: &ProcSnapshot) -> FaResult<()>;
-
-    /// Runs one fully-specified trial: rollback, environmental changes,
-    /// replay through the failure region, final scan.
-    fn reexecute(&mut self, spec: &TrialSpec) -> FaResult<TrialOutcome>;
-}
-
-/// The sequential substrate: trials run on the supervised process itself,
-/// rolled back through the [`CheckpointManager`]'s ring. This is the
-/// leader path of every diagnosis wave and the recovery/ladder path of
-/// the runtime.
-pub struct ManagedSubstrate<'p, 'm> {
-    process: &'p mut Process,
-    manager: &'m CheckpointManager,
-    integrity_check: bool,
-}
-
-impl<'p, 'm> ManagedSubstrate<'p, 'm> {
-    /// Binds the supervised process and its checkpoint ring.
-    pub fn new(
-        process: &'p mut Process,
-        manager: &'m CheckpointManager,
-        integrity_check: bool,
-    ) -> Self {
-        ManagedSubstrate {
-            process,
-            manager,
-            integrity_check,
-        }
-    }
-}
-
-impl TrialSubstrate for ManagedSubstrate<'_, '_> {
-    fn snapshot(&mut self) -> ProcSnapshot {
-        self.process.snapshot()
-    }
-
-    fn restore(&mut self, snap: &ProcSnapshot) -> FaResult<()> {
-        self.process.restore(snap);
-        self.process.ctx.clock.advance(ROLLBACK_COST_NS);
-        self.process.ctx.mem.take_dirty_pages();
-        Ok(())
-    }
-
-    fn reexecute(&mut self, spec: &TrialSpec) -> FaResult<TrialOutcome> {
-        ReplayHarness::try_reexecute(
-            self.process,
-            self.manager,
-            spec.ckpt_id,
-            spec.plan.clone(),
-            &spec.options(self.integrity_check),
-        )
-    }
-}
-
-/// The speculative substrate: a pooled (or forked) process bound to one
-/// checkpoint snapshot, replaying off to the side while the leader runs
-/// on the main process. Owns its `Process` so it can move onto a worker
-/// thread; [`Self::into_process`] releases the context back to the
-/// [`crate::ProcessSlab`] when the trial is done.
-pub struct SlabSubstrate {
-    process: Process,
-    snap: ProcSnapshot,
-    integrity_check: bool,
-}
-
-impl SlabSubstrate {
-    /// Binds a trial context to the snapshot its specs roll back to.
-    /// `spec.ckpt_id` is implied by the bound snapshot; the caller is
-    /// responsible for handing each substrate only specs of its own
-    /// checkpoint.
-    pub fn new(process: Process, snap: ProcSnapshot, integrity_check: bool) -> Self {
-        SlabSubstrate {
-            process,
-            snap,
-            integrity_check,
-        }
-    }
-
-    /// Releases the trial context for return to the pool.
-    pub fn into_process(self) -> Process {
-        self.process
-    }
-}
-
-impl TrialSubstrate for SlabSubstrate {
-    fn snapshot(&mut self) -> ProcSnapshot {
-        self.process.snapshot()
-    }
-
-    fn restore(&mut self, snap: &ProcSnapshot) -> FaResult<()> {
-        self.process.restore(snap);
-        self.process.ctx.clock.advance(ROLLBACK_COST_NS);
-        self.process.ctx.mem.take_dirty_pages();
-        Ok(())
-    }
-
-    fn reexecute(&mut self, spec: &TrialSpec) -> FaResult<TrialOutcome> {
-        ReplayHarness::try_reexecute_on(
-            &mut self.process,
-            &self.snap,
-            spec.plan.clone(),
-            &spec.options(self.integrity_check),
-        )
-    }
-}
+use crate::harness::RunReport;
 
 /// The flaky-re-execution fault gate.
 ///
-/// Before a trial's report is committed, injected `ReexecFlaky` faults
-/// are resolved in sequential commit order: each flaky iteration costs an
-/// exponentially backed-off virtual-time penalty and a bounded number of
-/// retries. Because the gate consults the (stateful) fault plan at commit
-/// time — never on the worker threads — the injected schedule is
-/// identical at any parallelism.
+/// Before a trial runs, injected `ReexecFlaky` faults are resolved: each
+/// flaky iteration costs an exponentially backed-off virtual-time penalty
+/// and a bounded number of retries. The gate consults the (stateful)
+/// fault plan once per trial, in trial order, so a seeded plan injects
+/// the same schedule on every run.
 pub struct FaultGate<'a> {
     plan: &'a FaultPlan,
     retries: u32,
@@ -172,7 +45,7 @@ impl<'a> FaultGate<'a> {
         }
     }
 
-    /// Resolves the gate for one committed trial. `Ok(penalty_ns)` means
+    /// Resolves the gate for one trial. `Ok(penalty_ns)` means
     /// the trial's report stands after `penalty_ns` of retry cost;
     /// `Err(penalty_ns)` means retries were exhausted and the trial is
     /// lost (the caller reports it as a failed run).
@@ -201,9 +74,9 @@ impl<'a> FaultGate<'a> {
 /// how much virtual time they consumed, and the human-readable trail.
 #[derive(Debug, Default)]
 pub struct TrialLedger {
-    /// Number of committed trials.
+    /// Number of trials run.
     pub rollbacks: usize,
-    /// Total virtual time charged (max-over-wave for speculative trials).
+    /// Total virtual time charged.
     pub elapsed_ns: u64,
     /// Human-readable diagnosis trail.
     pub log: Vec<String>,
@@ -219,7 +92,7 @@ impl TrialLedger {
         }
     }
 
-    /// Charges one committed trial to the ledger.
+    /// Charges one trial to the ledger.
     pub fn charge(&mut self, report: &RunReport) {
         self.rollbacks += 1;
         self.elapsed_ns += report.elapsed_ns;

@@ -3,13 +3,13 @@
 //! A diagnostic re-execution can wedge — in the simulation either via an
 //! injected [`FaultStage::TrialHang`] or by genuinely overrunning its
 //! virtual-time deadline. Without supervision a single wedged trial
-//! stalls its whole wave and, through it, the entire diagnosis. The
-//! watchdog reaps such trials at *commit* time (the same sequential
-//! resolution point as [`crate::FaultGate`], so the injected schedule is
-//! identical at any parallelism), charges the burned deadline plus a
-//! jittered retry backoff to the virtual clock, and after bounded
-//! retries declares the trial lost so the caller can degrade — in the
-//! core runtime that means descending the ladder instead of wedging.
+//! stalls the entire diagnosis. The watchdog judges each trial once,
+//! right after it runs (in trial order, like [`crate::FaultGate`], so a
+//! seeded plan injects the same schedule on every run), charges the
+//! burned deadline plus a jittered retry backoff to the virtual clock,
+//! and after bounded retries declares the trial lost so the caller can
+//! degrade — in the core runtime that means descending the ladder
+//! instead of wedging.
 
 use std::cell::Cell;
 
@@ -21,7 +21,7 @@ use crate::backoff::Backoff;
 /// other consumers of the same seed.
 const WATCHDOG_SEED_SALT: u64 = 0x57a7_c4d0_9bad_d093;
 
-/// Judges committed trials against a per-trial virtual-time deadline.
+/// Judges trials against a per-trial virtual-time deadline.
 pub struct Watchdog<'a> {
     plan: &'a FaultPlan,
     deadline_ns: u64,
@@ -50,7 +50,7 @@ impl<'a> Watchdog<'a> {
         }
     }
 
-    /// Resolves the watchdog for one committed trial that ran for
+    /// Resolves the watchdog for one trial that ran for
     /// `trial_elapsed_ns` of virtual time. `Ok(penalty_ns)` means the
     /// trial's report stands after `penalty_ns` of reap-and-retry cost;
     /// `Err(penalty_ns)` means the trial is lost (genuinely overdue, or

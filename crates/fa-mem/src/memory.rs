@@ -608,9 +608,9 @@ impl SimMemory {
     ///
     /// O(1): swaps the page-table root back to the snapshot's. Pages
     /// still shared with the snapshot are untouched; diverged spine nodes
-    /// and frames are simply dropped, so resetting a pooled trial context
-    /// (the slab-reuse hot path in fa-exec) costs only the free of the
-    /// diverged state.
+    /// and frames are simply dropped, so resetting a reused trial context
+    /// (the validation engine's per-iteration restore) costs only the free
+    /// of the diverged state.
     pub fn restore(&mut self, snap: &MemSnapshot) {
         self.root = Arc::clone(&snap.root);
         self.resident = snap.resident;

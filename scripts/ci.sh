@@ -6,8 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
-cargo test -q --offline -p fa-faults
+cargo test -q --offline --workspace
+# The benchmark is its own package outside the workspace; building and
+# testing it here makes a core API change that breaks it fail CI.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
@@ -16,8 +18,9 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 cargo run --release --offline -p fa-bench --bin faults -- --check
 
 # Performance regression gate: wall-clock throughput and snapshot cost
-# vs the committed results/perf.json baseline, plus the >=2x
-# virtual-time speedup of parallel diagnosis on Apache and Squid.
+# vs the committed results/perf.json baseline, plus diagnosis virtual
+# time within 1.25x of baseline on Apache and Squid. A baseline that
+# exists but does not parse fails the gate.
 cargo run --release --offline -p fa-bench --bin perf -- --check
 
 # Sentry gate: at rate 1/64 the mean allocator overhead must stay under

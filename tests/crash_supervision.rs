@@ -10,7 +10,7 @@
 //!   evaluated applications;
 //! * any truncation of the journal recovers to a valid earlier epoch,
 //!   never a corrupt state, and recovery is idempotent;
-//! * injected hung trials never wedge a diagnosis wave — the watchdog
+//! * injected hung trials never wedge diagnosis — the watchdog
 //!   reaps them and the run conserves its inputs;
 //! * a flapping (repeatedly revoked) patch is quarantined and
 //!   re-admitted via a single-worker canary that must neutralize the
@@ -273,7 +273,7 @@ fn recovered_read_plane_matches_locked_oracle_and_reference() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
-/// Hung-trial injection never wedges a wave: the watchdog reaps wedged
+/// Hung-trial injection never wedges diagnosis: the watchdog reaps wedged
 /// trials (charging their deadline as virtual time), diagnosis still
 /// converges or descends the ladder, and no input is lost untracked.
 #[test]

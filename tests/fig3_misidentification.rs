@@ -12,7 +12,7 @@
 use fa_allocext::{ChangePlan, ExtAllocator};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
 use fa_mem::Addr;
-use first_aid::core::harness::{ReexecOptions, ReplayHarness};
+use first_aid::core::{ReexecOptions, ReplayHarness};
 use first_aid::prelude::*;
 
 /// Drives the exact Fig. 3 interleaving via explicit ops:
