@@ -7,7 +7,7 @@
 //! exiting nonzero on any violation without touching the baseline.
 
 use fa_apps::{all_specs, spec_by_key};
-use fa_bench::crash;
+use fa_bench::{crash, gate};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -36,14 +36,5 @@ fn main() {
         println!("crash bench --check: supervision is crash-safe");
         return;
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write("results/crash.json", json) {
-                Ok(()) => println!("wrote results/crash.json"),
-                Err(e) => eprintln!("failed to write results/crash.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
-    }
+    gate::write_results("crash", &report);
 }

@@ -7,7 +7,7 @@
 //! scenario (input conservation is asserted inside `run_case`).
 
 use fa_apps::{spec_by_key, FAULT_SCENARIOS};
-use fa_bench::faults;
+use fa_bench::{faults, gate};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,14 +37,5 @@ fn main() {
         println!("faults bench --check: all scenarios live");
         return;
     }
-    match serde_json::to_string_pretty(&results) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write("results/faults.json", json) {
-                Ok(()) => println!("wrote results/faults.json"),
-                Err(e) => eprintln!("failed to write results/faults.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
-    }
+    gate::write_results("faults", &results);
 }

@@ -3,7 +3,7 @@
 //! series to `results/fig4.json`.
 
 use fa_apps::spec_by_key;
-use fa_bench::fig4;
+use fa_bench::{fig4, gate};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,14 +28,5 @@ fn main() {
         }
         results.figures.push(fig);
     }
-    match serde_json::to_string_pretty(&results) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write("results/fig4.json", json) {
-                Ok(()) => println!("wrote results/fig4.json"),
-                Err(e) => eprintln!("failed to write results/fig4.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
-    }
+    gate::write_results("fig4", &results);
 }

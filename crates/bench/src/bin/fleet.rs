@@ -3,7 +3,7 @@
 //! machine-readable report to `results/fleet.json`.
 
 use fa_apps::spec_by_key;
-use fa_bench::fleet;
+use fa_bench::{fleet, gate};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,14 +27,5 @@ fn main() {
         println!("{}", fleet::render(&exp));
         results.experiments.push(exp);
     }
-    match serde_json::to_string_pretty(&results) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write("results/fleet.json", json) {
-                Ok(()) => println!("wrote results/fleet.json"),
-                Err(e) => eprintln!("failed to write results/fleet.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
-    }
+    gate::write_results("fleet", &results);
 }

@@ -4,42 +4,19 @@
 //! every number comes from the virtual clock), compares it against the
 //! committed baseline in `results/sentry.json`, enforces the <5%
 //! mean-overhead budget and the ≥1-app early-catch requirement at rate
-//! 1/64, and exits nonzero on any violation without touching the
-//! baseline.
+//! 1/64, and exits nonzero on any violation (or on a baseline that
+//! exists but does not parse) without touching the baseline.
 
-use fa_bench::sentry;
+use fa_bench::{gate, sentry};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let report = sentry::measure();
     println!("{}", sentry::render(&report));
     if check {
-        let baseline: Option<sentry::SentryReport> = std::fs::read_to_string("results/sentry.json")
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok());
-        if baseline.is_none() {
-            eprintln!(
-                "warning: no readable baseline at results/sentry.json; only absolute gates apply"
-            );
-        }
-        let violations = sentry::check(baseline.as_ref(), &report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("sentry regression: {v}");
-            }
-            std::process::exit(1);
-        }
-        println!("sentry bench --check: no regressions");
+        let baseline: Option<sentry::SentryReport> = gate::baseline("sentry");
+        gate::enforce("sentry", &sentry::check(baseline.as_ref(), &report));
         return;
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write("results/sentry.json", json) {
-                Ok(()) => println!("wrote results/sentry.json"),
-                Err(e) => eprintln!("failed to write results/sentry.json: {e}"),
-            }
-        }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
-    }
+    gate::write_results("sentry", &report);
 }

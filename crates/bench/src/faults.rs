@@ -1,6 +1,6 @@
 //! Fault-injection experiment: seeded failures in First-Aid's *own*
 //! pipeline stages (checkpoint corruption, flaky/wedged diagnosis,
-//! validation-fork death, pool persistence I/O) and what the degradation
+//! validation-fork death, journal append I/O) and what the degradation
 //! ladder makes of them.
 //!
 //! The headline claim is liveness: whatever the plan injects, the
@@ -10,7 +10,7 @@
 
 use fa_apps::{AppSpec, WorkloadSpec};
 use fa_faults::FaultStage;
-use first_aid_core::{DegradationMetrics, FirstAidRuntime, PatchPool, RunSummary};
+use first_aid_core::{DegradationMetrics, FirstAidRuntime, PatchPool, RunSummary, Wal};
 use serde::Serialize;
 
 /// One (application, scenario) cell of the experiment.
@@ -62,13 +62,14 @@ pub fn run_case(
     // precisely patched and the degraded rungs stay at zero.
     let mut config = crate::paper_config();
     config.faults = plan.clone();
-    // A persistent pool (in a scratch dir) so the PoolPersistIo stage has
-    // real writes to fail; fall back to in-memory if the dir is unusable.
+    // A journaled pool (in a scratch dir) whose journal carries the plan,
+    // so the WalAppendIo stage has real appends to fail; fall back to
+    // in-memory if the dir is unusable.
     let dir = std::env::temp_dir().join(format!("fa-faults-bench-{}-{scenario}-{seed}", spec.key));
     let _ = std::fs::remove_dir_all(&dir);
-    let pool = PatchPool::persistent(&dir)
-        .unwrap_or_else(|_| PatchPool::in_memory())
-        .with_faults(plan.clone());
+    let pool = Wal::open(dir.join("pool.wal"))
+        .map(|wal| PatchPool::with_journal(wal.with_faults(plan.clone())))
+        .unwrap_or_else(|_| PatchPool::in_memory());
     let mut runtime =
         FirstAidRuntime::launch((spec.build)(), config, pool).expect("faults bench launch");
     let workload = (spec.workload)(&WorkloadSpec::new(n, triggers));
@@ -106,7 +107,7 @@ pub fn render(exp: &FaultsExperiment) -> String {
     let d = &exp.degradation;
     format!(
         "{:<10} {:<22} served {:>4}/{:<4} dropped {:>3}  rungs p/g/d/r {}/{}/{}/{}  \
-         revoked {} cksum-miss {} timeouts {} retries {} fork-fail {} pool-io {}{}",
+         revoked {} cksum-miss {} timeouts {} retries {} fork-fail {} wal-io {}{}",
         exp.app,
         exp.scenario,
         exp.served,

@@ -16,9 +16,12 @@
 //! | [`fig6`]   | Fig. 6 — normal-execution time overhead |
 //! | [`fleet`]  | Fleet immunization — shared patch pool vs per-worker ablation |
 //! | [`faults`] | Fault injection — pipeline-stage failures and the degradation ladder |
-//! | [`perf`]   | Wall-clock performance + parallel-diagnosis speedup regression gate |
+//! | [`perf`]   | Wall-clock throughput, snapshot/restore, TLB and diagnosis-latency regression gate |
 //! | [`crash`]  | Crash-safe supervision — journal recovery cost vs a cold fleet start |
 //! | [`fleet_scale`] | 10²–10⁵ workers — lock-free patch plane, gossip propagation gates |
+//!
+//! [`gate`] holds what the binaries share: baseline loading for the
+//! `--check` gates and writing reports to `results/`.
 
 pub mod ablation;
 pub mod crash;
@@ -28,6 +31,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fleet;
 pub mod fleet_scale;
+pub mod gate;
 pub mod perf;
 pub mod sentry;
 pub mod table2;

@@ -18,7 +18,6 @@
 //!   order-of-magnitude regressions like an accidentally quadratic hot
 //!   path, not noise.
 
-use std::path::Path;
 use std::time::Instant;
 
 use fa_allocext::ExtAllocator;
@@ -266,21 +265,6 @@ pub fn measure(quick: bool) -> PerfReport {
     }
 }
 
-/// Loads the committed baseline at `path`. A missing file is `Ok(None)`
-/// (only the absolute gates apply); a file that exists but cannot be read
-/// or parsed is an error, so a schema change cannot silently disable the
-/// baseline gates.
-pub fn load_baseline(path: &Path) -> Result<Option<PerfReport>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    serde_json::from_str(&text)
-        .map(Some)
-        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
 /// Compares `current` against `baseline`, returning the violations.
 ///
 /// The TLB floor is absolute (it holds with or without a baseline); the
@@ -374,40 +358,4 @@ pub fn render(r: &PerfReport) -> String {
         ));
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("fa-perf-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn missing_baseline_is_none() {
-        let path = temp_path("missing.json");
-        let _ = std::fs::remove_file(&path);
-        assert!(matches!(load_baseline(&path), Ok(None)));
-    }
-
-    #[test]
-    fn unparseable_baseline_is_an_error() {
-        // A baseline in another schema must fail the gate, not disable it.
-        let path = temp_path("stale.json");
-        std::fs::write(&path, r#"{"throughput": [], "diagnosis": 3}"#).unwrap();
-        let result = load_baseline(&path);
-        std::fs::remove_file(&path).unwrap();
-        let err = result.unwrap_err();
-        assert!(err.contains("cannot parse"), "{err}");
-    }
-
-    #[test]
-    fn committed_baseline_parses() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/perf.json");
-        let base = load_baseline(&path)
-            .unwrap()
-            .expect("results/perf.json is committed");
-        assert_eq!(base.diagnosis.len(), 2);
-    }
 }

@@ -1,7 +1,7 @@
 //! Runtime diagnostics with a swappable sink.
 //!
-//! First-Aid emits a handful of operational warnings (damaged patch
-//! files, failed persistence). With one supervised process these used to
+//! First-Aid emits a handful of operational warnings (refused patches,
+//! quarantined call-sites). With one supervised process these used to
 //! go straight to stderr; a fleet of workers would interleave them
 //! mid-line, and tests could not observe them at all. Every diagnostic
 //! now goes through [`warn`], and the process-wide sink can be swapped:
@@ -93,10 +93,13 @@ pub fn capture() -> Capture {
 
 /// Runs `f` with diagnostics captured, restoring the stderr sink after.
 ///
-/// Returns `f`'s result alongside the captured lines. Note the sink is
-/// process-global: concurrent tests capturing simultaneously will see
-/// each other's lines.
+/// Returns `f`'s result alongside the captured lines. Captures run one
+/// at a time: the sink is process-global, so an overlapping capture
+/// would swap this one's buffer out and its lines would be lost. Lines
+/// other threads emit meanwhile still land in the buffer.
 pub fn captured<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _turn = ONE_AT_A_TIME.lock();
     let cap = capture();
     let result = f();
     let lines = cap.drain();

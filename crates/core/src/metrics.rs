@@ -35,9 +35,11 @@ pub struct DegradationMetrics {
     pub trial_hangs: usize,
     /// Validation forks that died before producing a verdict.
     pub validation_fork_failures: usize,
-    /// Patch-pool persistence I/O errors absorbed (retried or degraded).
+    /// Patch-pool journal I/O errors absorbed (retried or degraded),
+    /// read from the pool's `fa-wal` journal; 0 for an in-memory pool.
     pub pool_io_errors: u64,
-    /// True if the patch pool gave up on persistence and went in-memory.
+    /// True if the pool's journal gave up on appends and the pool went
+    /// memory-only.
     pub pool_degraded: bool,
 }
 

@@ -55,8 +55,9 @@ pub struct FirstAidConfig {
     /// distance (paper §3 invites deploying such detectors).
     pub integrity_check_every: usize,
     /// Fault plan injected into the pipeline's own stages (checkpoint
-    /// corruption, flaky/wedged diagnosis, validation-fork death, pool
-    /// persistence I/O). [`FaultPlan::none`] in production.
+    /// corruption, flaky/wedged diagnosis, validation-fork death).
+    /// Journal I/O faults ride on the pool's `Wal` instead
+    /// (`Wal::with_faults`). [`FaultPlan::none`] in production.
     pub faults: FaultPlan,
     /// Health monitor: after how many failures with the same bug
     /// signature the installed patches are revoked as ineffective and
@@ -193,15 +194,13 @@ pub struct FirstAidRuntime {
     program: String,
     wall_ns: u64,
     last_proc_clock: u64,
-    /// Pool version (any program) observed at the last patch sync; lets
-    /// `refresh_patches` skip even the pool lock on the fast path.
-    pool_version_seen: u64,
     /// Pool epoch for *this* program at the last patch sync.
     pool_epoch_seen: u64,
     /// Input index of the most recent failure, for crash-loop detection.
     last_failure_index: Option<usize>,
     /// Degradation-ladder counters (core stages; pool I/O counters are
-    /// read live from the pool by [`FirstAidRuntime::degradation`]).
+    /// read live from the pool's journal by
+    /// [`FirstAidRuntime::degradation`]).
     degradation: DegradationMetrics,
     /// Patch health monitor: recurrence count and installed patch sites
     /// per bug signature.
@@ -233,7 +232,6 @@ impl FirstAidRuntime {
         config.engine.integrity_check = config.integrity_check_every > 0;
         let program = app.name().to_owned();
         let mut ctx = ProcessCtx::new(config.heap_limit);
-        let pool_version_seen = pool.version();
         let (patches, pool_epoch_seen) = pool.get_with_epoch(&program);
         let quarantine = config.quarantine_bytes;
         let sentry_cfg = config.sentry.clone();
@@ -258,7 +256,6 @@ impl FirstAidRuntime {
             program,
             wall_ns: last_proc_clock,
             last_proc_clock,
-            pool_version_seen,
             pool_epoch_seen,
             last_failure_index: None,
             degradation: DegradationMetrics::default(),
@@ -343,7 +340,6 @@ impl FirstAidRuntime {
     /// lock-free plane and updates the sync markers. The returned Arc
     /// is the pool's own snapshot — no patch is copied.
     fn sync_pool_patches(&mut self) -> std::sync::Arc<fa_allocext::PatchSet> {
-        self.pool_version_seen = self.pool.version();
         let (patches, epoch) = self.pool.get_with_epoch(&self.program);
         self.pool_epoch_seen = epoch;
         patches
@@ -354,19 +350,16 @@ impl FirstAidRuntime {
     /// are "available to all the processes that are running the same
     /// program").
     ///
-    /// The fast path is one atomic load, so fleet workers can call this
-    /// before every input. Returns `true` if new patches were installed.
+    /// The fast path is one lock-free epoch read from the pool's plane,
+    /// so fleet workers can call this before every input. Another
+    /// program's pool traffic leaves this program's epoch, and so this
+    /// runtime's installed set, untouched. Returns `true` if new patches
+    /// were installed.
     pub fn refresh_patches(&mut self) -> bool {
-        if self.pool.version() == self.pool_version_seen {
+        if self.pool.epoch(&self.program) == self.pool_epoch_seen {
             return false;
         }
-        let before = self.pool_epoch_seen;
         let patches = self.sync_pool_patches();
-        if self.pool_epoch_seen == before {
-            // Another program's patches moved the global version; nothing
-            // to install here.
-            return false;
-        }
         self.install_patchset(patches);
         true
     }
@@ -457,12 +450,14 @@ impl FirstAidRuntime {
         m
     }
 
-    /// Returns the degradation-ladder counters, with the pool's
-    /// persistence health folded in.
+    /// Returns the degradation-ladder counters, with the pool journal's
+    /// I/O health folded in (zero and `false` for an in-memory pool).
     pub fn degradation(&self) -> DegradationMetrics {
         let mut d = self.degradation.clone();
-        d.pool_io_errors = self.pool.io_error_count();
-        d.pool_degraded = self.pool.is_degraded();
+        if let Some(wal) = self.pool.journal() {
+            d.pool_io_errors = wal.io_errors();
+            d.pool_degraded = wal.is_degraded();
+        }
         d
     }
 

@@ -15,7 +15,6 @@ pub const FAULT_SCENARIOS: &[&str] = &[
     "flaky-reexec",
     "trial-hang",
     "validation-fork",
-    "pool-io",
     "wal-io",
     "kitchen-sink",
 ];
@@ -52,13 +51,8 @@ pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
         "validation-fork" => FaultPlan::builder(seed)
             .inject(FaultStage::ValidationFork, Injection::EveryNth(1))
             .build(),
-        // Every pool persistence write errors; the pool must retry, log,
-        // and degrade to in-memory operation.
-        "pool-io" => FaultPlan::builder(seed)
-            .inject(FaultStage::PoolPersistIo, Injection::EveryNth(1))
-            .build(),
         // Every journal append errors; the Wal must retry, then degrade
-        // (journaling off, supervision continues in-memory).
+        // (journaling off, the pool and supervision continue in-memory).
         "wal-io" => FaultPlan::builder(seed)
             .inject(FaultStage::WalAppendIo, Injection::EveryNth(1))
             .build(),
@@ -69,7 +63,6 @@ pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
             .inject(FaultStage::DiagnosisTimeout, Injection::PerMille(150))
             .inject(FaultStage::TrialHang, Injection::PerMille(150))
             .inject(FaultStage::ValidationFork, Injection::PerMille(300))
-            .inject(FaultStage::PoolPersistIo, Injection::PerMille(500))
             .inject(FaultStage::WalAppendIo, Injection::PerMille(200))
             .build(),
         _ => return None,
@@ -100,8 +93,8 @@ mod tests {
                 b.should_fail(FaultStage::CheckpointCorrupt)
             );
             assert_eq!(
-                a.should_fail(FaultStage::PoolPersistIo),
-                b.should_fail(FaultStage::PoolPersistIo)
+                a.should_fail(FaultStage::WalAppendIo),
+                b.should_fail(FaultStage::WalAppendIo)
             );
         }
         for &stage in FaultStage::ALL.iter() {

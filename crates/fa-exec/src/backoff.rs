@@ -2,7 +2,7 @@
 //!
 //! One policy object replaces the hand-rolled backoff loops that used
 //! to live in the fleet worker crash-loop, the diagnosis retry gate,
-//! and the patch-pool persistence retry. All time here is *virtual*:
+//! and the journal append retry. All time here is *virtual*:
 //! callers charge the returned delays to their own virtual clocks, so
 //! the schedule is deterministic and free of wall-clock sleeps.
 

@@ -3,7 +3,7 @@
 //! First-Aid is a recovery system, so the interesting failures are
 //! failures *of its own stages*: a checkpoint whose pages rotted on
 //! disk, a re-execution that wedges or flakes, a validation fork that
-//! dies, a patch-pool write that hits a full disk. A [`FaultPlan`] is a
+//! dies, a journal append that hits a full disk. A [`FaultPlan`] is a
 //! seeded, deterministic schedule of such failures. The pipeline asks
 //! [`FaultPlan::should_fail`] at each injection point; the plan counts
 //! the occurrence and answers from its schedule, so the same seed
@@ -14,37 +14,41 @@
 //! workspace can thread a plan through without a cycle. Clones of a
 //! `FaultPlan` share their occurrence counters (the plan is one global
 //! schedule, not a per-component one), so handing the same plan to the
-//! checkpoint manager, the diagnosis engine, and the patch pool keeps a
-//! single consistent timeline.
+//! checkpoint manager, the diagnosis engine, and the patch pool's
+//! journal (`fa_wal::Wal::with_faults`) keeps a single consistent
+//! timeline.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of injectable pipeline stages.
-pub const STAGES: usize = 7;
+pub const STAGES: usize = 6;
 
 /// An injectable stage of the First-Aid pipeline.
+///
+/// The explicit discriminants are each stage's fixed salt for
+/// [`Injection::PerMille`] decisions. They are decoupled from the dense
+/// [`FaultStage::index`], so adding or removing a stage never shifts
+/// another stage's schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultStage {
     /// A checkpoint's snapshot no longer matches its checksum
     /// (simulated storage rot / partial write).
-    CheckpointCorrupt,
+    CheckpointCorrupt = 0,
     /// A diagnostic re-execution fails for reasons unrelated to the
     /// bug (scheduling noise, resource exhaustion) and must be retried.
-    ReexecFlaky,
+    ReexecFlaky = 1,
     /// Diagnosis wedges and blows its deadline outright.
-    DiagnosisTimeout,
+    DiagnosisTimeout = 2,
     /// A validation fork dies before producing a verdict.
-    ValidationFork,
-    /// A patch-pool persistence write/rename returns an I/O error.
-    PoolPersistIo,
+    ValidationFork = 3,
     /// A journal append in `fa-wal` returns an I/O error (full disk,
     /// EIO) and must be retried or degraded around.
-    WalAppendIo,
+    WalAppendIo = 5,
     /// A diagnostic trial wedges past its virtual-time deadline and has
     /// to be reaped by the hung-trial watchdog.
-    TrialHang,
+    TrialHang = 6,
 }
 
 impl FaultStage {
@@ -54,7 +58,6 @@ impl FaultStage {
         FaultStage::ReexecFlaky,
         FaultStage::DiagnosisTimeout,
         FaultStage::ValidationFork,
-        FaultStage::PoolPersistIo,
         FaultStage::WalAppendIo,
         FaultStage::TrialHang,
     ];
@@ -66,9 +69,8 @@ impl FaultStage {
             FaultStage::ReexecFlaky => 1,
             FaultStage::DiagnosisTimeout => 2,
             FaultStage::ValidationFork => 3,
-            FaultStage::PoolPersistIo => 4,
-            FaultStage::WalAppendIo => 5,
-            FaultStage::TrialHang => 6,
+            FaultStage::WalAppendIo => 4,
+            FaultStage::TrialHang => 5,
         }
     }
 
@@ -79,7 +81,6 @@ impl FaultStage {
             FaultStage::ReexecFlaky => "reexec-flaky",
             FaultStage::DiagnosisTimeout => "diagnosis-timeout",
             FaultStage::ValidationFork => "validation-fork",
-            FaultStage::PoolPersistIo => "pool-persist-io",
             FaultStage::WalAppendIo => "wal-append-io",
             FaultStage::TrialHang => "trial-hang",
         }
@@ -110,13 +111,13 @@ pub enum Injection {
 }
 
 impl Injection {
-    fn decide(&self, seed: u64, stage: usize, k: u64) -> bool {
+    fn decide(&self, seed: u64, salt: u64, k: u64) -> bool {
         match self {
             Injection::Off => false,
             Injection::Nth(list) => list.contains(&k),
             Injection::EveryNth(n) => *n != 0 && (k + 1).is_multiple_of(*n),
             Injection::PerMille(pm) => {
-                let x = splitmix64(seed ^ (stage as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ k);
+                let x = splitmix64(seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ k);
                 x % 1000 < u64::from((*pm).min(1000))
             }
         }
@@ -182,7 +183,7 @@ impl FaultPlan {
     pub fn should_fail(&self, stage: FaultStage) -> bool {
         let i = stage.index();
         let k = self.inner.occurrences[i].fetch_add(1, Ordering::Relaxed);
-        let hit = self.inner.specs[i].decide(self.inner.seed, i, k);
+        let hit = self.inner.specs[i].decide(self.inner.seed, stage as u64, k);
         if hit {
             self.inner.fired[i].fetch_add(1, Ordering::Relaxed);
         }
@@ -391,9 +392,9 @@ mod tests {
         );
         // EveryNth(0) is Off, not divide-by-zero.
         let zero = FaultPlan::builder(1)
-            .inject(FaultStage::PoolPersistIo, Injection::EveryNth(0))
+            .inject(FaultStage::WalAppendIo, Injection::EveryNth(0))
             .build();
-        assert!(!zero.should_fail(FaultStage::PoolPersistIo));
+        assert!(!zero.should_fail(FaultStage::WalAppendIo));
     }
 
     #[test]
@@ -424,15 +425,28 @@ mod tests {
     }
 
     #[test]
+    fn per_mille_salt_is_fixed_per_stage_not_dense_index() {
+        // Deleting a stage must not shift a surviving stage's schedule:
+        // the salt is a fixed per-stage number, not the ALL position.
+        let plan = FaultPlan::builder(0xfa017)
+            .inject(FaultStage::TrialHang, Injection::PerMille(250))
+            .build();
+        for k in 0..64u64 {
+            let x = splitmix64(0xfa017 ^ 6u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ k);
+            assert_eq!(plan.should_fail(FaultStage::TrialHang), x % 1000 < 250);
+        }
+    }
+
+    #[test]
     fn clones_share_occurrence_counters() {
         let plan = FaultPlan::builder(7)
-            .inject(FaultStage::PoolPersistIo, Injection::Nth(vec![1]))
+            .inject(FaultStage::WalAppendIo, Injection::Nth(vec![1]))
             .build();
         let clone = plan.clone();
-        assert!(!plan.should_fail(FaultStage::PoolPersistIo)); // k = 0
-        assert!(clone.should_fail(FaultStage::PoolPersistIo)); // k = 1: shared counter
-        assert_eq!(plan.occurrences(FaultStage::PoolPersistIo), 2);
-        assert_eq!(plan.fired(FaultStage::PoolPersistIo), 1);
+        assert!(!plan.should_fail(FaultStage::WalAppendIo)); // k = 0
+        assert!(clone.should_fail(FaultStage::WalAppendIo)); // k = 1: shared counter
+        assert_eq!(plan.occurrences(FaultStage::WalAppendIo), 2);
+        assert_eq!(plan.fired(FaultStage::WalAppendIo), 1);
     }
 
     #[test]

@@ -2,11 +2,27 @@
 //! combination of pipeline-stage failures is injected, the run neither
 //! panics nor loses accounting — served + dropped == offered.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use fa_apps::{spec_by_key, WorkloadSpec};
 use fa_checkpoint::AdaptiveConfig;
 use fa_faults::{FaultPlan, FaultStage, Injection};
-use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool};
+use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, Wal};
 use proptest::prelude::*;
+
+/// A journaled pool in a fresh scratch directory whose journal carries
+/// `plan`, so the `WalAppendIo` stage has real appends to fail.
+fn journaled_pool(plan: &FaultPlan) -> (PatchPool, std::path::PathBuf) {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fa-faults-liveness-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Wal::open(dir.join("pool.wal")).expect("open scratch journal");
+    (PatchPool::with_journal(wal.with_faults(plan.clone())), dir)
+}
 
 fn injection() -> impl Strategy<Value = Injection> {
     prop_oneof![
@@ -26,13 +42,13 @@ fn plan() -> impl Strategy<Value = FaultPlan> {
         injection(),
         injection(),
     )
-        .prop_map(|(seed, ckpt, reexec, timeout, fork, pool)| {
+        .prop_map(|(seed, ckpt, reexec, timeout, fork, wal)| {
             FaultPlan::builder(seed)
                 .inject(FaultStage::CheckpointCorrupt, ckpt)
                 .inject(FaultStage::ReexecFlaky, reexec)
                 .inject(FaultStage::DiagnosisTimeout, timeout)
                 .inject(FaultStage::ValidationFork, fork)
-                .inject(FaultStage::PoolPersistIo, pool)
+                .inject(FaultStage::WalAppendIo, wal)
                 .build()
         })
 }
@@ -50,15 +66,16 @@ proptest! {
                 ..AdaptiveConfig::default()
             },
             max_checkpoints: 200,
-            faults: plan,
+            faults: plan.clone(),
             ..FirstAidConfig::default()
         };
+        let (pool, dir) = journaled_pool(&plan);
         let mut runtime =
-            FirstAidRuntime::launch((spec.build)(), config, PatchPool::in_memory())
-                .expect("launch");
+            FirstAidRuntime::launch((spec.build)(), config, pool).expect("launch");
         let workload = (spec.workload)(&WorkloadSpec::new(120, &[20, 60]));
         let offered = workload.len();
         let summary = runtime.run(workload, None);
+        let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(
             summary.served + summary.dropped,
             offered,

@@ -1,12 +1,13 @@
-//! Crash-safety of patch-pool persistence: torn temp files from a died
-//! writer must not corrupt reloads, and injected persistence I/O errors
-//! must degrade the pool to in-memory operation while the last good
-//! on-disk state survives.
+//! Journal I/O failure on a journaled patch pool: with every append
+//! failing, mutations still land in memory, the runtime reports the pool
+//! degraded, and reopening the directory recovers exactly the state
+//! journaled before the degradation.
 
 use fa_allocext::{BugType, Patch};
+use fa_apps::spec_by_key;
 use fa_faults::{FaultPlan, FaultStage, Injection};
 use fa_proc::{CallSite, SymbolTable};
-use first_aid_core::PatchPool;
+use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, Wal};
 
 fn patch(id: u64) -> Patch {
     Patch::new(
@@ -16,65 +17,52 @@ fn patch(id: u64) -> Patch {
     )
 }
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fa-faults-persist-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A writer that dies mid-persist leaves a torn `.tmp-<pid>` file behind.
-/// The loader must ignore it and reload the program's patches from the
-/// last complete `*.patches.json`.
 #[test]
-fn torn_temp_file_does_not_corrupt_reload() {
-    let dir = scratch("torn");
-    {
-        let pool = PatchPool::persistent(&dir).expect("create pool dir");
-        assert_eq!(pool.add("squid", [patch(7)]), 1);
-        assert!(!pool.is_degraded());
-    }
-    // Simulate a crash between "write temp" and "rename into place":
-    // truncated JSON under the temp naming scheme.
-    std::fs::write(dir.join(".squid.patches.json.tmp-9999"), b"[{\"bug\":\"Buf")
-        .expect("write torn temp file");
-
-    let pool = PatchPool::persistent(&dir).expect("reload pool");
-    assert_eq!(pool.len("squid"), 1, "last good file wins");
-    let set = pool.get("squid");
-    assert!(!set.is_empty(), "reloaded patch set is usable");
+fn journal_io_failures_degrade_in_memory_and_keep_the_journaled_state() {
+    let dir = std::env::temp_dir().join(format!("fa-faults-journal-io-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-}
 
-/// Injected persistence I/O errors: every write fails, the pool retries,
-/// logs, and degrades to in-memory operation — and a later reload sees
-/// only the last successfully persisted state.
-#[test]
-fn degraded_pool_preserves_last_good_file() {
-    let dir = scratch("degraded");
-    {
-        // Healthy pool persists patch #1.
-        let pool = PatchPool::persistent(&dir).expect("create pool dir");
+    // A healthy journal records patch #1.
+    let journaled = {
+        let pool = PatchPool::journaled(&dir).expect("create pool dir");
         assert_eq!(pool.add("squid", [patch(1)]), 1);
-        assert!(!pool.is_degraded());
-        assert_eq!(pool.io_error_count(), 0);
-    }
-    {
-        // Reopen with every persistence write failing. Adding patch #2
-        // must still succeed in memory; the pool retries the write,
-        // gives up, and marks itself degraded.
-        let faults = FaultPlan::builder(3)
-            .inject(FaultStage::PoolPersistIo, Injection::EveryNth(1))
-            .build();
-        let pool = PatchPool::persistent(&dir)
-            .expect("reopen pool dir")
-            .with_faults(faults);
-        assert_eq!(pool.add("squid", [patch(2)]), 1);
-        assert!(pool.is_degraded(), "pool degraded after exhausted retries");
-        assert!(pool.io_error_count() >= 3, "every attempt was counted");
-        assert_eq!(pool.len("squid"), 2, "in-memory state is complete");
-    }
-    // A fresh reload sees only what was successfully persisted.
-    let pool = PatchPool::persistent(&dir).expect("final reload");
-    assert_eq!(pool.len("squid"), 1, "the degraded write never landed");
+        pool.export_state("squid")
+    };
+
+    // Reopen with every journal append failing. Adding patch #2 still
+    // succeeds in memory; the journal retries, gives up and degrades.
+    let faults = FaultPlan::builder(3)
+        .inject(FaultStage::WalAppendIo, Injection::EveryNth(1))
+        .build();
+    let wal = Wal::open(dir.join("pool.wal"))
+        .expect("reopen journal")
+        .with_faults(faults.clone());
+    let pool = PatchPool::with_journal(wal);
+    assert_eq!(pool.export_state("squid"), journaled, "replayed patch #1");
+    assert_eq!(pool.add("squid", [patch(2)]), 1);
+    assert_eq!(pool.len("squid"), 2, "in-memory state is complete");
+    assert_eq!(
+        faults.fired(FaultStage::WalAppendIo),
+        3,
+        "every attempt failed"
+    );
+
+    let spec = spec_by_key("squid").unwrap();
+    let runtime = FirstAidRuntime::launch((spec.build)(), FirstAidConfig::default(), pool)
+        .expect("launch on a degraded pool");
+    let health = runtime.degradation();
+    assert!(
+        health.pool_degraded,
+        "the runtime reports the degraded journal"
+    );
+    assert_eq!(
+        health.pool_io_errors, 3,
+        "a degraded journal stops appending"
+    );
+
+    // A fresh reopen sees exactly what was journaled before degrading.
+    let reopened = PatchPool::journaled(&dir).expect("final reopen");
+    assert_eq!(reopened.export_state("squid"), journaled);
+    assert_eq!(reopened.len("squid"), 1, "the degraded append never landed");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -40,7 +40,7 @@ pub struct WorkerReport {
     /// Total bytes delivered.
     pub bytes: u64,
     /// Degradation-ladder counters, cumulative across relaunches (pool
-    /// persistence health is reported fleet-wide, not per worker).
+    /// journal health is reported fleet-wide, not per worker).
     pub degradation: DegradationMetrics,
     /// Sentry-tier counters, cumulative across relaunches.
     pub sentry: SentryMetrics,
@@ -81,7 +81,7 @@ pub struct FleetReport {
     /// Sum of worker `bytes`.
     pub bytes: u64,
     /// Merged degradation-ladder counters; the supervisor overlays the
-    /// shared pool's persistence health after aggregation.
+    /// shared pool's journal health after aggregation.
     pub degradation: DegradationMetrics,
     /// Merged sentry-tier counters across workers.
     pub sentry: SentryMetrics,

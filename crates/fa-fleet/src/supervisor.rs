@@ -119,7 +119,7 @@ impl Default for FleetConfig {
 ///
 /// The pool outlives each [`Fleet::run`] call, so a second run starts
 /// with every worker already immunized by the first (same as processes
-/// launched after the patches were persisted).
+/// launched after the patches were journaled).
 pub struct Fleet {
     factory: AppFactory,
     config: FleetConfig,
@@ -145,7 +145,8 @@ impl Fleet {
         }
     }
 
-    /// Replaces the shared pool (e.g. with a persistent one).
+    /// Replaces the shared pool (e.g. with a [`PatchPool::journaled`]
+    /// one, so patches outlive this fleet).
     pub fn with_pool(mut self, pool: PatchPool) -> Fleet {
         self.pool = pool;
         self
@@ -179,13 +180,11 @@ impl Fleet {
         if let Some(policy) = self.config.quarantine {
             self.pool.enable_quarantine(policy);
         }
-        let journaled = self.pool.journal().is_some();
+        // Membership records are no-ops on an in-memory pool.
         let mut handles: Vec<WorkerHandle> = (0..n)
             .map(|id| {
-                if journaled {
-                    self.pool
-                        .journal_append(WalOp::WorkerJoin(WorkerOp { worker: id as u64 }));
-                }
+                self.pool
+                    .journal_append(WalOp::WorkerJoin(WorkerOp { worker: id as u64 }));
                 let (sender, receiver) = mpsc::sync_channel(self.config.queue_depth.max(1));
                 let backlog = Arc::new(AtomicUsize::new(0));
                 let params = WorkerParams {
@@ -254,16 +253,16 @@ impl Fleet {
             if let Ok(report) = thread.join() {
                 metrics.push(report);
             }
-            if journaled {
-                self.pool
-                    .journal_append(WalOp::WorkerLeave(WorkerOp { worker: id as u64 }));
-            }
+            self.pool
+                .journal_append(WalOp::WorkerLeave(WorkerOp { worker: id as u64 }));
         }
         let mut report = metrics.finish();
-        // Pool persistence health lives on the shared pool, not on any
-        // one worker; overlay it after aggregation.
-        report.degradation.pool_io_errors = self.pool.io_error_count();
-        report.degradation.pool_degraded = self.pool.is_degraded();
+        // Journal I/O health lives on the shared pool's journal, not on
+        // any one worker; overlay it after aggregation.
+        if let Some(wal) = self.pool.journal() {
+            report.degradation.pool_io_errors = wal.io_errors();
+            report.degradation.pool_degraded = wal.is_degraded();
+        }
         report
     }
 }

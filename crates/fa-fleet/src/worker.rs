@@ -48,8 +48,8 @@ fn fold(runtime: &mut FirstAidRuntime, into: &mut Folded) {
         .filter_map(|r| r.diagnosis.as_ref())
         .map(|d| d.rollbacks)
         .sum::<usize>();
-    // Pool persistence health is fleet-wide (the pool is shared), so it
-    // is overlaid by the supervisor instead of summed per worker.
+    // Pool journal health is fleet-wide (the pool is shared), so it is
+    // overlaid by the supervisor instead of summed per worker.
     let mut d = runtime.degradation();
     d.pool_io_errors = 0;
     d.pool_degraded = false;
@@ -109,7 +109,7 @@ pub(crate) fn run(
         0xf1ee_7bac_0ff5_eed5 ^ params.id as u64,
     );
 
-    // Launching from a warm pool (earlier run, persistent dir) counts as
+    // Launching from a warm pool (earlier run, journaled dir) counts as
     // immunized from the start.
     if !runtime.pool().is_empty(runtime.program()) {
         report.immunized_at_ns = Some(runtime.wall_ns());

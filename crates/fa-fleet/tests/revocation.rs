@@ -50,3 +50,40 @@ fn revoked_patch_never_repropagates_to_siblings() {
     assert_eq!(pool.len("squid"), 0);
     assert!(!b.refresh_patches(), "nothing new to propagate");
 }
+
+#[test]
+fn a_foreign_program_publish_leaves_the_installed_set_untouched() {
+    use std::sync::Arc;
+
+    use first_aid_core::{BugType, Patch, PatchSet};
+
+    let patch = |id| {
+        Patch::new(
+            BugType::BufferOverflow,
+            fa_proc::CallSite([id, 0, 0]),
+            &fa_proc::SymbolTable::new(),
+        )
+    };
+    let spec = spec_by_key("squid").unwrap();
+    let pool = PatchPool::in_memory();
+    assert_eq!(pool.add("squid", [patch(1)]), 1);
+    let mut a = FirstAidRuntime::launch((spec.build)(), FirstAidConfig::default(), pool.clone())
+        .expect("launch worker A");
+    let installed = |rt: &mut FirstAidRuntime| rt.with_ext(|ext| ext.patches() as *const PatchSet);
+    let before = installed(&mut a);
+    assert_eq!(
+        before,
+        Arc::as_ptr(&pool.get("squid")),
+        "A runs the pool's set"
+    );
+
+    // Program B publishes on the same pool: its epoch moves, A's does not.
+    assert_eq!(pool.add("apache", [patch(2)]), 1);
+    assert_eq!((pool.epoch("apache"), pool.epoch("squid")), (1, 1));
+    assert!(!a.refresh_patches(), "a foreign publish is not A's change");
+    assert_eq!(
+        installed(&mut a),
+        before,
+        "A's installed set is the same Arc"
+    );
+}

@@ -4,8 +4,7 @@
 //! write a temporary in the same directory, fsync it, then atomically
 //! rename over the destination. A reader can then observe either the
 //! old contents or the new contents, never a torn mixture. The journal
-//! uses this for compaction snapshots and the patch pool routes its
-//! JSON persistence through it (replacing its bespoke tmp-file dance).
+//! uses this for compaction snapshots.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -14,7 +13,7 @@ use std::path::Path;
 /// Atomically replaces `path` with `bytes` (write temp + fsync +
 /// rename). The temporary lives in `path`'s directory so the rename
 /// cannot cross filesystems; it is removed on failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     let name = path
         .file_name()

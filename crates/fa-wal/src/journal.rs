@@ -16,7 +16,9 @@
 //! with a deliberately torn final record. Append I/O errors are
 //! injected through [`FaultStage::WalAppendIo`] and retried on the
 //! shared [`Backoff`] policy before the journal degrades to
-//! memory-only operation (mirroring the patch pool's own degrade).
+//! memory-only operation. The journal is the patch pool's one durable
+//! format, so its I/O health ([`Wal::io_errors`], [`Wal::is_degraded`])
+//! is the pool's.
 
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -48,9 +50,12 @@ pub fn digest(bytes: &[u8]) -> u64 {
     fa_faults::splitmix64(h)
 }
 
-fn encode_line(record: &WalRecord) -> String {
-    let json = serde_json::to_string(record).expect("journal records always serialize");
-    format!("{WAL_MAGIC} {:016x} {json}\n", digest(json.as_bytes()))
+fn encode_line(record: &WalRecord) -> Result<String, serde_json::Error> {
+    let json = serde_json::to_string(record)?;
+    Ok(format!(
+        "{WAL_MAGIC} {:016x} {json}\n",
+        digest(json.as_bytes())
+    ))
 }
 
 fn parse_line(line: &str) -> Option<WalRecord> {
@@ -179,6 +184,20 @@ impl Wal {
         self.inner.lock().compact_every = every;
     }
 
+    /// Encodes `record`, or counts the failure and degrades the journal
+    /// exactly as exhausted append retries do. Serialization is
+    /// deterministic, so retrying it could not help.
+    fn encode_or_degrade(inner: &mut Inner, record: &WalRecord) -> Option<String> {
+        match encode_line(record) {
+            Ok(line) => Some(line),
+            Err(_) => {
+                inner.io_errors += 1;
+                inner.degraded = true;
+                None
+            }
+        }
+    }
+
     fn die(inner: &mut Inner, line: Option<&str>) {
         inner.dead = true;
         if let Some(line) = line {
@@ -208,7 +227,7 @@ impl Wal {
             seq: inner.next_seq,
             op,
         };
-        let line = encode_line(&record);
+        let line = Self::encode_or_degrade(&mut inner, &record)?;
         if let Some(kill) = inner.kill {
             if inner.appends >= kill.after_appends {
                 let torn = kill.torn.then_some(line.as_str());
@@ -272,7 +291,7 @@ impl Wal {
             seq: inner.next_seq,
             op: WalOp::Snapshot(state),
         };
-        let line = encode_line(&record);
+        let line = Self::encode_or_degrade(&mut inner, &record)?;
         let mut backoff = Backoff::new(APPEND_RETRY_BASE_NS, APPEND_RETRY_BASE_NS << 8);
         for _ in 0..APPEND_ATTEMPTS {
             let injected = inner.faults.should_fail(FaultStage::WalAppendIo);

@@ -13,14 +13,12 @@
 //!   transitions, checkpoint registration/pruning, sentry
 //!   suppressions, ladder descents, fleet worker membership;
 //! * [`Wal`] — the append-only, checksummed, torn-write-safe journal
-//!   with snapshot compaction ([`PoolSnapshot`]) and built-in crash
+//!   with snapshot compaction ([`PoolSnapshot`], written by a
+//!   torn-write-safe temp + fsync + rename) and built-in crash
 //!   injection ([`Wal::arm_kill`] takes a
 //!   [`KillPoint`](fa_faults::KillPoint) from the supervisor-kill
 //!   schedule, [`FaultStage::WalAppendIo`](fa_faults::FaultStage)
 //!   injects append I/O errors);
-//! * [`write_atomic`] — the one torn-write-safe whole-file replacement
-//!   (write temp + fsync + rename), shared with the patch pool's JSON
-//!   persistence;
 //! * [`parse_prefix`] / [`truncate_to_records`] — byte-level replay
 //!   plumbing for recovery and for the kill-point acceptance sweep.
 //!
@@ -29,12 +27,16 @@
 //! corrupt one. Consumers replay with a sequence-number watermark,
 //! which makes recovery idempotent — replaying twice is the same as
 //! replaying once.
+//!
+//! The journal is the patch pool's one durable format, so its own code
+//! holds no `unwrap`/`expect`: every failure is counted and degrades.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod atomic;
 mod journal;
 mod record;
 
-pub use atomic::write_atomic;
 pub use journal::{digest, parse_prefix, truncate_to_records, Wal, WAL_MAGIC};
 pub use record::{
     CanaryOp, CheckpointOp, DenyOp, LadderOp, PoolSnapshot, ProgramSnapshot, PublishOp,

@@ -6,9 +6,10 @@
 //! payloads (named-field structs), so the on-disk format is
 //! self-describing: `{"PatchPublish":{"program":...,"patches":[...]}}`.
 //!
-//! Replay contract: each *epoch-bumping* op (see
-//! [`WalOp::bumps_epoch`]) advances its program's patch epoch by
-//! exactly one, mirroring the single bump the live mutation performed.
+//! Replay contract: each *epoch-bumping* op (`PatchPublish`,
+//! `PatchRevoke`, `PatchRemove`, `CanaryAdmit`, `CanaryPromote`)
+//! advances its program's patch epoch by exactly one, mirroring the
+//! single bump the live mutation performed.
 //! Quarantine records carry their resulting counters (`flaps`,
 //! `window`, `denials`) rather than the inputs that produced them, so
 //! replay restores the exact bookkeeping without needing the policy
@@ -200,19 +201,6 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Whether replaying this op advances the program's patch epoch by
-    /// one (the live mutation bumped it exactly once when journaling).
-    pub fn bumps_epoch(&self) -> bool {
-        matches!(
-            self,
-            WalOp::PatchPublish(_)
-                | WalOp::PatchRevoke(_)
-                | WalOp::PatchRemove(_)
-                | WalOp::CanaryAdmit(_)
-                | WalOp::CanaryPromote(_)
-        )
-    }
-
     /// Stable label for logs and debugging.
     pub fn label(&self) -> &'static str {
         match self {

@@ -2,10 +2,10 @@
 //! to prevent the bug from occurring on subsequent runs or on other
 //! processes running the same program" (paper §1.2).
 //!
-//! This example runs the Squid overflow case twice against an on-disk
-//! patch pool: the first run fails once and learns the patch; the second
-//! run — a fresh "process" of the same executable — is protected from its
-//! very first request.
+//! This example runs the Squid overflow case twice against an on-disk,
+//! journaled patch pool: the first run fails once and learns the patch;
+//! the second run — a fresh "process" of the same executable — replays
+//! the journal and is protected from its very first request.
 //!
 //! Run with: `cargo run --release --example patch_persistence`
 
@@ -21,9 +21,10 @@ fn main() {
 
     // ---- first run: the bug is new ----
     {
-        let pool = PatchPool::persistent(&dir).expect("create pool");
+        let pool = PatchPool::journaled(&dir).expect("create pool");
         let mut fa =
-            FirstAidRuntime::launch((spec.build)(), FirstAidConfig::default(), pool).unwrap();
+            FirstAidRuntime::launch((spec.build)(), FirstAidConfig::default(), pool.clone())
+                .unwrap();
         let w = (spec.workload)(&WorkloadSpec::new(1_200, &[400, 800]));
         let summary = fa.run(w, None);
         println!(
@@ -31,17 +32,17 @@ fn main() {
             summary.failures, summary.recoveries
         );
         assert_eq!(summary.failures, 1);
-        let patch_file = dir.join("squid.patches.json");
-        let json = std::fs::read_to_string(&patch_file).expect("patch file written");
+        let journal = pool.journal().expect("journaled pool");
         println!(
-            "run 1: persisted {} bytes of patches:\n{json}\n",
-            json.len()
+            "run 1: journaled {} record(s) to {}\n",
+            journal.replay().len(),
+            journal.path().display()
         );
     }
 
     // ---- second run: protected from the start ----
     {
-        let pool = PatchPool::persistent(&dir).expect("reopen pool");
+        let pool = PatchPool::journaled(&dir).expect("reopen pool");
         println!("run 2: loaded {} patch(es) from disk", pool.len("squid"));
         let mut fa =
             FirstAidRuntime::launch((spec.build)(), FirstAidConfig::default(), pool).unwrap();

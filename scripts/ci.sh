@@ -13,6 +13,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# Durable patch pool end to end: a second run over the journaled pool
+# directory must fail zero times (the example asserts it).
+cargo run --release --offline --example patch_persistence
+
 # Fault-injection liveness gate: every named scenario must leave the
 # runtime live (input conservation is asserted inside the bench).
 cargo run --release --offline -p fa-bench --bin faults -- --check

@@ -91,15 +91,16 @@ fn fleet_patches_persist_through_a_shared_persistent_pool() {
     let _ = std::fs::remove_dir_all(&dir);
 
     {
-        let fleet = fleet(PoolSharing::Shared).with_pool(PatchPool::persistent(&dir).unwrap());
+        let fleet = fleet(PoolSharing::Shared).with_pool(PatchPool::journaled(&dir).unwrap());
         let stream = sharded_stream(&spec, &[vec![30], vec![], vec![]], 80, 31);
         let r = fleet.run(stream);
         assert_eq!(r.patched, 1);
     }
 
-    // A brand-new fleet (a later deployment) starts immunized from disk.
+    // A brand-new fleet (a later deployment) starts immunized from the
+    // journal on disk.
     {
-        let fleet = fleet(PoolSharing::Shared).with_pool(PatchPool::persistent(&dir).unwrap());
+        let fleet = fleet(PoolSharing::Shared).with_pool(PatchPool::journaled(&dir).unwrap());
         let stream = sharded_stream(&spec, &[vec![10], vec![10], vec![10]], 40, 32);
         let r = fleet.run(stream);
         assert_eq!(r.failures, 0);
