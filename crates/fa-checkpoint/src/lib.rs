@@ -6,11 +6,13 @@
 //! simulated process substrate:
 //!
 //! * [`CheckpointManager`] keeps a bounded ring of process snapshots
-//!   ([`fa_proc::ProcSnapshot`] — COW memory snapshot, cloned heap and
-//!   allocator-extension state, app state, file table, input cursor);
+//!   ([`fa_proc::ProcSnapshot`] — COW memory snapshot, heap and
+//!   allocator-extension state with the extension's object table shared
+//!   leaf by leaf, app state, file table, input cursor);
 //! * checkpoint *cost* is charged in virtual time proportional to the
 //!   pages dirtied in the elapsed interval, modelling fork-COW page
-//!   replication — the checkpointing overhead of paper Fig. 6;
+//!   replication — the checkpointing overhead of paper Fig. 6; a
+//!   rollback charges the fixed [`ROLLBACK_COST_NS`];
 //! * the **adaptive interval controller** monitors the COW page rate and
 //!   widens the checkpoint interval when the estimated overhead exceeds
 //!   the user's target `T_overhead`, up to `T_checkpoint` (paper §3) —
@@ -21,4 +23,4 @@ pub mod adaptive;
 pub mod manager;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveInterval};
-pub use manager::{Checkpoint, CheckpointManager, CheckpointStats};
+pub use manager::{Checkpoint, CheckpointManager, CheckpointStats, ROLLBACK_COST_NS};

@@ -6,6 +6,12 @@ use fa_proc::{ProcSnapshot, Process};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveInterval};
 
+/// The fixed virtual-time cost of reinstating saved task state on any
+/// rollback or snapshot restore. It does not grow with the snapshot:
+/// like a fork-based rollback, reinstating the copy-on-write page table
+/// and allocator metadata shares them instead of copying them.
+pub const ROLLBACK_COST_NS: u64 = 80_000;
+
 /// One retained checkpoint.
 pub struct Checkpoint {
     /// Monotonic checkpoint id.
@@ -216,8 +222,8 @@ impl CheckpointManager {
         self.ring.is_empty()
     }
 
-    /// Rolls the process back to the given checkpoint, charging a restore
-    /// cost proportional to the snapshot's footprint.
+    /// Rolls the process back to the given checkpoint, charging the fixed
+    /// [`ROLLBACK_COST_NS`].
     pub fn rollback_to(&self, process: &mut Process, id: u64) -> bool {
         self.restore_into(process, id)
     }
@@ -237,9 +243,9 @@ impl CheckpointManager {
             return false;
         }
         trial.restore(&ckpt.snap);
-        // Reinstating the saved task state: charge a fixed cost plus a
-        // per-page share for the page-table swap.
-        trial.ctx.clock.advance(80_000);
+        // Reinstating the saved task state costs the same for every
+        // snapshot size.
+        trial.ctx.clock.advance(ROLLBACK_COST_NS);
         trial.ctx.mem.take_dirty_pages();
         true
     }

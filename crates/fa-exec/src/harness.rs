@@ -7,15 +7,10 @@
 //! manifestations, and report what happened.
 
 use fa_allocext::{ChangePlan, ExtAllocator, Manifestation};
-use fa_checkpoint::CheckpointManager;
+use fa_checkpoint::{CheckpointManager, ROLLBACK_COST_NS};
 use fa_proc::{CallSite, FailureRecord, Process};
 
 use crate::error::{FaError, FaResult};
-
-/// The fixed virtual-time cost of reinstating saved task state on any
-/// rollback or snapshot restore (mirrors
-/// [`CheckpointManager::rollback_to`]'s charge).
-pub const ROLLBACK_COST_NS: u64 = 80_000;
 
 /// Options for one re-execution iteration.
 #[derive(Clone, Debug)]

@@ -27,7 +27,8 @@ mod watchdog;
 
 pub use backoff::Backoff;
 pub use error::{FaError, FaResult};
-pub use harness::{expect_ext, try_ext, ReexecOptions, ReplayHarness, RunReport, ROLLBACK_COST_NS};
+pub use fa_checkpoint::ROLLBACK_COST_NS;
+pub use harness::{expect_ext, try_ext, ReexecOptions, ReplayHarness, RunReport};
 pub use spec::TrialSpec;
 pub use substrate::{FaultGate, TrialLedger};
 pub use watchdog::Watchdog;

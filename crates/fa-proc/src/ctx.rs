@@ -66,6 +66,15 @@ impl Clone for ProcessCtx {
 }
 
 /// A checkpointable snapshot of a [`ProcessCtx`].
+///
+/// Like a fork, taking one shares the two large parts instead of copying
+/// them. The memory snapshot shares the page-table root, in O(1). The
+/// allocator is cloned through [`AllocBackend::clone_box`], and the
+/// First-Aid extension's clone shares the leaves of its per-object
+/// metadata table, in O(leaves). Either side copies a page or a leaf only
+/// on its first write to it after the snapshot, so a checkpoint costs what
+/// was written since the last one, not the size of the heap or the live
+/// set. The call stack, symbols and file table are small and are cloned.
 pub struct CtxSnapshot {
     mem: MemSnapshot,
     alloc: Box<dyn AllocBackend>,
