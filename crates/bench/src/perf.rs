@@ -17,10 +17,14 @@
 //!   of baseline, snapshot/restore may grow 2.5×) — they catch
 //!   order-of-magnitude regressions like an accidentally quadratic hot
 //!   path, not noise.
+//!
+//! Two rules are absolute and need no baseline: the TLB hit rate must stay
+//! at or above 50%, and checking an intact canary range may cost at most
+//! 4× filling it, both timed in the same run.
 
 use std::time::Instant;
 
-use fa_allocext::ExtAllocator;
+use fa_allocext::{check_canary, fill_canary, ExtAllocator};
 use fa_apps::{all_specs, spec_by_key, AppSpec, WorkloadSpec};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
 use fa_mem::{Addr, Perms, SimMemory, PAGE_SIZE};
@@ -72,6 +76,14 @@ pub struct MemSubstrate {
     /// nanoseconds. Flips allocate no frames, so this must stay
     /// page-count-independent and far below a page copy.
     pub guard_flip_ns: f64,
+    /// Median wall-clock cost of checking an intact canary range, in
+    /// nanoseconds per KiB. Diagnosis checks every delay-freed object,
+    /// pad and heap mark after each trial, so this must stay near
+    /// `canary_fill_ns_per_kib`.
+    pub canary_check_ns_per_kib: f64,
+    /// Median wall-clock cost of filling the same range with the canary,
+    /// timed in alternation with the check, in nanoseconds per KiB.
+    pub canary_fill_ns_per_kib: f64,
 }
 
 /// Diagnosis latency for one application.
@@ -178,13 +190,48 @@ fn measure_snapshot(cycles: usize) -> SnapshotCost {
     }
 }
 
+/// A canary check may cost at most this many times a fill of the same
+/// range. Both touch every byte once, so an in-place check costs about
+/// what the fill does; a check that copies the range out first costs
+/// over 20 times as much.
+const CANARY_CHECK_MAX_FILL_RATIO: f64 = 4.0;
+
+/// Times `fill_canary` and `check_canary` in alternation over one intact
+/// 64 KiB range that starts and ends mid-page, and returns the median of
+/// each in nanoseconds per KiB. Medians keep a preempted sample from
+/// moving either figure.
+fn measure_canary(reps: usize) -> (f64, f64) {
+    const LEN: u64 = 64 * 1024;
+    let mut mem = SimMemory::new();
+    let base = Addr(0x7000_0000);
+    mem.map(base, 1 << 20, "canary-bench").unwrap();
+    let start = base.offset(PAGE_SIZE as u64 + 12);
+    let (mut fill, mut check) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let t = Instant::now();
+        fill_canary(&mut mem, start, LEN).unwrap();
+        fill.push(t.elapsed().as_nanos());
+        let t = Instant::now();
+        let found = check_canary(&mut mem, start, LEN).unwrap();
+        check.push(t.elapsed().as_nanos());
+        assert!(found.is_none(), "a freshly filled canary must be intact");
+    }
+    let per_kib = |mut ns: Vec<u128>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / (LEN / 1024) as f64
+    };
+    (per_kib(check), per_kib(fill))
+}
+
 /// Measures the memory-substrate hot paths.
 ///
 /// The TLB hit rate comes from a normal (trigger-free) Apache run — the
 /// same access mix the throughput rows measure — read off the process's
 /// address space afterwards. The guard-flip cost times `protect()`
 /// GUARD/RW round trips on a dedicated region, the primitive fa-sentry
-/// uses for every slot placement, poison and release.
+/// uses for every slot placement, poison and release. The canary figures
+/// time the check diagnosis runs on every canary range after each trial
+/// against the fill that wrote the range.
 fn measure_mem_substrate(quick: bool) -> MemSubstrate {
     let spec = spec_by_key("apache").unwrap();
     let mut p = launch(&spec, 1 << 28);
@@ -214,12 +261,16 @@ fn measure_mem_substrate(quick: bool) -> MemSubstrate {
         mem.protect(page, PAGE_SIZE as u64, perms).unwrap();
     }
     let guard_flip_ns = t.elapsed().as_nanos() as f64 / flips as f64;
+    let (canary_check_ns_per_kib, canary_fill_ns_per_kib) =
+        measure_canary(if quick { 500 } else { 1_000 });
     MemSubstrate {
         tlb_hits: stats.hits,
         tlb_misses: stats.misses,
         tlb_hit_rate,
         flips,
         guard_flip_ns,
+        canary_check_ns_per_kib,
+        canary_fill_ns_per_kib,
     }
 }
 
@@ -292,14 +343,25 @@ pub fn measure(quick: bool) -> PerfReport {
 
 /// Compares `current` against `baseline`, returning the violations.
 ///
-/// The TLB floor is absolute (it holds with or without a baseline); the
-/// remaining gates need a baseline to compare against.
+/// The TLB floor and the canary check/fill ratio are absolute (they hold
+/// with or without a baseline); the remaining gates need a baseline to
+/// compare against.
 pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String> {
     let mut violations = Vec::new();
     if current.memory.tlb_hit_rate < 0.5 {
         violations.push(format!(
             "TLB hit rate {:.1}% is below the absolute 50% floor",
             current.memory.tlb_hit_rate * 100.0
+        ));
+    }
+    let (check_ns, fill_ns) = (
+        current.memory.canary_check_ns_per_kib,
+        current.memory.canary_fill_ns_per_kib,
+    );
+    if check_ns > fill_ns * CANARY_CHECK_MAX_FILL_RATIO {
+        violations.push(format!(
+            "canary check {check_ns:.0}ns/KiB exceeds {CANARY_CHECK_MAX_FILL_RATIO}x \
+             the fill of the same range {fill_ns:.0}ns/KiB"
         ));
     }
     let Some(base) = baseline else {
@@ -375,6 +437,10 @@ pub fn render(r: &PerfReport) -> String {
         r.memory.tlb_misses,
         r.memory.guard_flip_ns,
         r.memory.flips
+    ));
+    out.push_str(&format!(
+        "Canary (intact 64 KiB): check {:.1} ns/KiB, fill {:.1} ns/KiB\n",
+        r.memory.canary_check_ns_per_kib, r.memory.canary_fill_ns_per_kib
     ));
     out.push_str("Diagnosis latency\n");
     for d in &r.diagnosis {

@@ -55,6 +55,10 @@
 //! assert!(out.served);
 //! ```
 
+// Supervision code must not be what crashes: no `unwrap`/`expect`
+// outside tests, except at sites whose `#[allow]` says why.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod baselines;
 pub mod diagnose;
 pub mod log;

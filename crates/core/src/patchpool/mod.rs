@@ -796,6 +796,9 @@ impl PatchPool {
     /// tombstones, quarantine bookkeeping, epoch), with every unordered
     /// collection sorted — byte-identical across pools holding the same
     /// state, which is what the crash acceptance sweep compares.
+    // `ProgramSnapshot` is plain data with string map keys, so
+    // serializing it cannot fail.
+    #[allow(clippy::expect_used)]
     pub fn export_state(&self, program: &str) -> String {
         let pools = self.inner.lock();
         let snap = Self::program_snapshot(&pools, program);
@@ -805,10 +808,10 @@ impl PatchPool {
     fn program_snapshot(pools: &Pools, program: &str) -> ProgramSnapshot {
         let mut patches = pools.by_program.get(program).cloned().unwrap_or_default();
         patches.sort_by_key(|p| {
-            (
-                p.site,
-                serde_json::to_string(p).expect("patches always serialize"),
-            )
+            // A `Patch` is plain data, so serializing it cannot fail.
+            #[allow(clippy::expect_used)]
+            let json = serde_json::to_string(p).expect("patches always serialize");
+            (p.site, json)
         });
         let mut revoked: Vec<CallSite> = pools
             .revoked_by_program

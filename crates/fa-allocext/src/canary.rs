@@ -25,24 +25,14 @@ pub fn fill_canary(mem: &mut SimMemory, addr: Addr, len: u64) -> Result<(), MemF
 ///
 /// Returns `None` if intact, or `Some((first_bad_offset, bad_count))`
 /// describing the corruption — the location information First-Aid uses to
-/// identify bug-triggering objects.
+/// identify bug-triggering objects. The compare runs in place on the page
+/// frames ([`SimMemory::find_not`]); nothing is copied out.
 pub fn check_canary(
     mem: &mut SimMemory,
     addr: Addr,
     len: u64,
 ) -> Result<Option<(u64, u64)>, MemFault> {
-    let bytes = mem.read_bytes(addr, len)?;
-    let mut first: Option<u64> = None;
-    let mut count = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != CANARY_BYTE {
-            if first.is_none() {
-                first = Some(i as u64);
-            }
-            count += 1;
-        }
-    }
-    Ok(first.map(|f| (f, count)))
+    mem.find_not(addr, len, CANARY_BYTE)
 }
 
 #[cfg(test)]

@@ -85,19 +85,6 @@ impl Quarantine {
         Vec::new()
     }
 
-    /// Removes a specific entry (object is being resurrected/reallocated).
-    pub fn remove(&mut self, user: Addr) -> Option<QEntry> {
-        let pos = self.entries.iter().position(|e| e.user == user)?;
-        let entry = self.entries.remove(pos)?;
-        self.bytes -= entry.bytes;
-        Some(entry)
-    }
-
-    /// Returns `true` if `user` is quarantined.
-    pub fn contains(&self, user: Addr) -> bool {
-        self.entries.iter().any(|e| e.user == user)
-    }
-
     /// Current pinned bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -166,18 +153,6 @@ mod tests {
         q.push(entry(2, 40, 2));
         assert_eq!(q.accumulated_bytes, 80);
         assert_eq!(q.accumulated_objects, 2);
-    }
-
-    #[test]
-    fn remove_unpins_bytes() {
-        let mut q = Quarantine::new(100);
-        q.push(entry(1, 60, 1));
-        assert!(q.contains(Addr(1)));
-        let e = q.remove(Addr(1)).unwrap();
-        assert_eq!(e.bytes, 60);
-        assert_eq!(q.bytes(), 0);
-        assert!(!q.contains(Addr(1)));
-        assert!(q.remove(Addr(1)).is_none());
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   and virtual-clock accounting;
 //! * [`FaError`] — typed failures, so a poisoned trial degrades instead
 //!   of aborting the supervisor.
+//!
+//! A trial runs inside the supervisor, so this crate's code holds no
+//! `unwrap`/`expect` outside tests.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod backoff;
 mod error;

@@ -71,6 +71,10 @@
 //! assert!(r2.time_to_fleet_immunity_ns.is_some());
 //! ```
 
+// Supervision code must not be what crashes: no `unwrap`/`expect`
+// outside tests, except at sites whose `#[allow]` says why.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cells;
 pub mod metrics;
 pub mod scale;

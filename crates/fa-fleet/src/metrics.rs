@@ -124,22 +124,15 @@ impl FleetMetrics {
 
     /// Computes the fleet-wide throughput series (per-window sum).
     pub fn fleet_series(&self) -> Vec<(f64, f64)> {
-        let len = self
-            .workers
-            .iter()
-            .map(|w| w.series.len())
-            .max()
-            .unwrap_or(0);
+        // Window starts are identical across workers (same window width,
+        // same index); take them from the longest series.
+        let Some(longest) = self.workers.iter().max_by_key(|w| w.series.len()) else {
+            return Vec::new();
+        };
+        let len = longest.series.len();
         if len == 0 {
             return Vec::new();
         }
-        // Window starts are identical across workers (same window width,
-        // same index); take them from the longest series.
-        let longest = self
-            .workers
-            .iter()
-            .max_by_key(|w| w.series.len())
-            .expect("len > 0 implies a worker");
         (0..len)
             .map(|i| {
                 let total: f64 = self

@@ -235,7 +235,8 @@ impl Fleet {
                                 (i + n - cursor % n) % n,
                             )
                         })
-                        .expect("n >= 1")
+                        // `n >= 1`, so a minimum always exists.
+                        .unwrap_or(0)
                 }
             };
             handles[target].backlog.fetch_add(1, Ordering::Relaxed);

@@ -73,6 +73,9 @@ pub(crate) fn run(
     jobs: Receiver<Input>,
     backlog: Arc<AtomicUsize>,
 ) -> WorkerReport {
+    // A program that cannot launch has nothing to serve: the panic ends
+    // only this worker's thread, and `Fleet::run` drops it at join.
+    #[allow(clippy::expect_used)]
     let launch = || {
         FirstAidRuntime::launch(
             (params.factory)(),

@@ -498,6 +498,54 @@ impl SimMemory {
         Ok(buf)
     }
 
+    /// Compares `[addr, addr + len)` against `byte` in place on the page
+    /// frames, without copying.
+    ///
+    /// Returns `None` if every byte equals `byte`, or
+    /// `Some((first, count))`: the offset of the first differing byte and
+    /// the number of differing bytes. Access checks, faults, TLB counters
+    /// and `bytes_read` are exactly those of [`Self::read`] over the same
+    /// range, and an unmaterialized page compares as zeros. Each page slice
+    /// is compared a word at a time; only a slice that differs is walked
+    /// byte by byte.
+    pub fn find_not(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        byte: u8,
+    ) -> Result<Option<(u64, u64)>, MemFault> {
+        self.access_check(addr, len, AccessKind::Read)?;
+        self.bytes_read += len;
+        let mut first = None;
+        let mut count = 0u64;
+        let mut done = 0u64;
+        while done < len {
+            let cursor = addr.offset(done);
+            let off = cursor.page_offset();
+            let take = (PAGE_SIZE - off).min((len - done) as usize);
+            match table::walk(&self.root, cursor.page()).and_then(|e| e.frame.as_ref()) {
+                Some(frame) => {
+                    let slice = &frame.bytes()[off..off + take];
+                    if !all_equal(slice, byte) {
+                        for (i, &b) in slice.iter().enumerate() {
+                            if b != byte {
+                                first.get_or_insert(done + i as u64);
+                                count += 1;
+                            }
+                        }
+                    }
+                }
+                None if byte != 0 => {
+                    first.get_or_insert(done);
+                    count += take as u64;
+                }
+                None => {}
+            }
+            done += take as u64;
+        }
+        Ok(first.map(|f| (f, count)))
+    }
+
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self, addr: Addr) -> Result<u64, MemFault> {
         let mut buf = [0u8; 8];
@@ -679,6 +727,20 @@ impl Default for SimMemory {
     fn default() -> Self {
         SimMemory::new()
     }
+}
+
+/// Returns `true` if every byte of `bytes` equals `byte`.
+///
+/// The whole words are OR-folded without an early exit, so the loop
+/// compiles to vector compares; the trailing partial word is checked byte
+/// by byte.
+fn all_equal(bytes: &[u8], byte: u8) -> bool {
+    let pattern = u64::from_ne_bytes([byte; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let diff = words.by_ref().fold(0, |acc, w| {
+        acc | (u64::from_ne_bytes(w.try_into().expect("8-byte word")) ^ pattern)
+    });
+    diff == 0 && words.remainder().iter().all(|&b| b == byte)
 }
 
 #[cfg(test)]
