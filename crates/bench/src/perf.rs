@@ -18,14 +18,16 @@
 //!   order-of-magnitude regressions like an accidentally quadratic hot
 //!   path, not noise.
 //!
-//! Two rules are absolute and need no baseline: the TLB hit rate must stay
-//! at or above 50%, and checking an intact canary range may cost at most
-//! 4× filling it, both timed in the same run.
+//! Three rules are absolute and need no baseline: the TLB hit rate must
+//! stay at or above 50%, checking an intact canary range may cost at most
+//! 4× filling it, timed in the same run, and a checkpoint that dirtied
+//! thousands of pages may pause the serving thread for at most 100 ns
+//! per dirty page.
 
 use std::time::Instant;
 
 use fa_allocext::{check_canary, fill_canary, ExtAllocator};
-use fa_apps::{all_specs, spec_by_key, AppSpec, WorkloadSpec};
+use fa_apps::{all_specs, spec_by_key, spec_profiles, AppSpec, SynthApp, WorkloadSpec};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
 use fa_mem::{Addr, Perms, SimMemory, PAGE_SIZE};
 use fa_proc::{Process, ProcessCtx};
@@ -57,6 +59,23 @@ pub struct SnapshotCost {
     pub snapshot_us: f64,
     /// Mean wall-clock cost of one rollback, in microseconds.
     pub restore_us: f64,
+}
+
+/// Wall-clock pause of checkpoints that dirtied thousands of pages.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct BigCheckpointCost {
+    /// Synthetic profile checkpointed.
+    pub profile: String,
+    /// Checkpoints timed.
+    pub cycles: usize,
+    /// Median pages dirtied since the previous checkpoint.
+    pub dirty_pages: usize,
+    /// Median wall-clock pause of one checkpoint, in microseconds.
+    pub pause_us: f64,
+    /// Median pause per dirty page, in nanoseconds. Rehashing a dirty
+    /// page costs about 1,000 ns, so this shows whether the checkpoint
+    /// digested its pages on the serving thread.
+    pub pause_ns_per_dirty_page: f64,
 }
 
 /// Hot-path figures for the paged memory substrate: the TLB in front
@@ -106,6 +125,8 @@ pub struct PerfReport {
     pub throughput: Vec<AppThroughput>,
     /// Checkpoint hot-path cost.
     pub snapshot: SnapshotCost,
+    /// Pause of checkpoints with thousands of dirty pages.
+    pub big_checkpoint: BigCheckpointCost,
     /// Memory-substrate hot paths (TLB hit rate, guard-flip cost).
     pub memory: MemSubstrate,
     /// Diagnosis latency.
@@ -167,9 +188,12 @@ fn measure_snapshot(cycles: usize) -> SnapshotCost {
         .table()
         .len();
     // The first checkpoint hashes every resident page; later ones hash
-    // only the pages dirtied since. Taking it untimed makes the quick
-    // `--check` run time the same steady-state cycle as the baseline.
-    mgr.force_checkpoint(&mut p);
+    // only the pages dirtied since. Taking it untimed, and waiting for
+    // its checksum (it dirtied enough pages to be hashed on a helper
+    // thread), makes the quick `--check` run time the same steady-state
+    // cycle as the baseline.
+    let first = mgr.force_checkpoint(&mut p);
+    assert!(mgr.get(first).is_some_and(|c| c.verify()));
     let (mut snap_ns, mut rest_ns) = (0u128, 0u128);
     for _ in 0..cycles {
         for _ in 0..10 {
@@ -188,6 +212,66 @@ fn measure_snapshot(cycles: usize) -> SnapshotCost {
         snapshot_us: snap_ns as f64 / cycles as f64 / 1e3,
         restore_us: rest_ns as f64 / cycles as f64 / 1e3,
     }
+}
+
+/// Pages a big checkpoint must have dirtied since the previous one.
+const BIG_CHECKPOINT_MIN_DIRTY: usize = 4_096;
+
+/// A big checkpoint may pause the serving thread for at most this many
+/// nanoseconds per dirty page. Digesting the dirty pages on the serving
+/// thread costs 1,000-1,500 ns per page; taking the snapshot and handing
+/// the digest to a helper thread costs 30-50 on a 2-vCPU VM.
+const BIG_CHECKPOINT_MAX_NS_PER_PAGE: f64 = 100.0;
+
+/// Times checkpoints of the `256.bzip2` profile, each taken after one
+/// base checkpoint interval of inputs, in which it rewrites its 16 MB
+/// working set, and returns the medians. The process runs on the
+/// allocator extension, like a supervised one.
+fn measure_big_checkpoint(cycles: usize) -> BigCheckpointCost {
+    let profile = spec_profiles()
+        .into_iter()
+        .find(|p| p.name == "256.bzip2")
+        .unwrap();
+    let mut ctx = ProcessCtx::new(1 << 31);
+    ctx.swap_alloc(|old| Box::new(ExtAllocator::attach(old.heap().clone())));
+    let mut p = Process::launch(Box::new(SynthApp::new(profile)), ctx).unwrap();
+    let config = AdaptiveConfig::default();
+    let interval = config.base_interval_ns;
+    let mut mgr = CheckpointManager::new(config, 2);
+    let startup = mgr.force_checkpoint(&mut p);
+    let input = fa_apps::synth::workload(&profile, 1).remove(0);
+    let (mut dirty, mut pause_ns) = (Vec::new(), Vec::new());
+    for _ in 0..cycles {
+        let due = p.ctx.clock.now() + interval;
+        while p.ctx.clock.now() < due {
+            assert!(p.feed(input.clone()).is_ok());
+        }
+        dirty.push(p.ctx.mem.dirty_page_count());
+        let t = Instant::now();
+        std::hint::black_box(mgr.force_checkpoint(&mut p));
+        pause_ns.push(t.elapsed().as_nanos() as f64);
+        // Drops the timed checkpoint, so the run holds one interval's
+        // pages at a time.
+        mgr.truncate_after(startup);
+    }
+    assert!(
+        dirty.iter().all(|&d| d >= BIG_CHECKPOINT_MIN_DIRTY),
+        "256.bzip2 must dirty {BIG_CHECKPOINT_MIN_DIRTY} pages per interval, got {dirty:?}"
+    );
+    let per_page = pause_ns.iter().zip(&dirty).map(|(ns, &d)| ns / d as f64);
+    BigCheckpointCost {
+        profile: profile.name.to_owned(),
+        cycles,
+        pause_ns_per_dirty_page: median(per_page.collect()),
+        dirty_pages: median(dirty),
+        pause_us: median(pause_ns) / 1e3,
+    }
+}
+
+/// Returns the median (the upper one of an even count).
+fn median<T: Copy + PartialOrd>(mut v: Vec<T>) -> T {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v[v.len() / 2]
 }
 
 /// A canary check may cost at most this many times a fill of the same
@@ -328,6 +412,7 @@ pub fn measure(quick: bool) -> PerfReport {
         .map(|s| measure_throughput(s, n))
         .collect();
     let snapshot = measure_snapshot(if quick { 20 } else { 50 });
+    let big_checkpoint = measure_big_checkpoint(if quick { 5 } else { 9 });
     let memory = measure_mem_substrate(quick);
     let diagnosis = ["apache", "squid"]
         .iter()
@@ -336,6 +421,7 @@ pub fn measure(quick: bool) -> PerfReport {
     PerfReport {
         throughput,
         snapshot,
+        big_checkpoint,
         memory,
         diagnosis,
     }
@@ -343,9 +429,9 @@ pub fn measure(quick: bool) -> PerfReport {
 
 /// Compares `current` against `baseline`, returning the violations.
 ///
-/// The TLB floor and the canary check/fill ratio are absolute (they hold
-/// with or without a baseline); the remaining gates need a baseline to
-/// compare against.
+/// The TLB floor, the canary check/fill ratio and the big-checkpoint
+/// pause per dirty page are absolute (they hold with or without a
+/// baseline); the remaining gates need a baseline to compare against.
 pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String> {
     let mut violations = Vec::new();
     if current.memory.tlb_hit_rate < 0.5 {
@@ -362,6 +448,14 @@ pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String>
         violations.push(format!(
             "canary check {check_ns:.0}ns/KiB exceeds {CANARY_CHECK_MAX_FILL_RATIO}x \
              the fill of the same range {fill_ns:.0}ns/KiB"
+        ));
+    }
+    let big = &current.big_checkpoint;
+    if big.pause_ns_per_dirty_page > BIG_CHECKPOINT_MAX_NS_PER_PAGE {
+        violations.push(format!(
+            "{}: checkpoint pause {:.0}ns per dirty page ({:.0}us for {} pages) \
+             exceeds {BIG_CHECKPOINT_MAX_NS_PER_PAGE}ns",
+            big.profile, big.pause_ns_per_dirty_page, big.pause_us, big.dirty_pages
         ));
     }
     let Some(base) = baseline else {
@@ -428,6 +522,12 @@ pub fn render(r: &PerfReport) -> String {
         "Checkpoint hot path ({} cycles, {} live objects): snapshot {:.1} us, \
          restore {:.1} us\n",
         r.snapshot.cycles, r.snapshot.live_objects, r.snapshot.snapshot_us, r.snapshot.restore_us
+    ));
+    let big = &r.big_checkpoint;
+    out.push_str(&format!(
+        "Big checkpoint ({}, {} cycles, {} dirty pages): pause {:.1} us, \
+         {:.1} ns per dirty page\n",
+        big.profile, big.cycles, big.dirty_pages, big.pause_us, big.pause_ns_per_dirty_page
     ));
     out.push_str(&format!(
         "Memory substrate: TLB hit rate {:.1}% ({} hits / {} walks), \

@@ -17,7 +17,16 @@
 //!   widens the checkpoint interval when the estimated overhead exceeds
 //!   the user's target `T_overhead`, up to `T_checkpoint` (paper §3) —
 //!   this is what keeps checkpoint space overhead per *second* flat for
-//!   large-working-set programs (paper Table 7).
+//!   large-working-set programs (paper Table 7);
+//! * each checkpoint records a content checksum of its snapshot, which
+//!   recovery verifies before rolling back to it. A checkpoint that
+//!   dirtied many pages computes it on a helper thread (see
+//!   [`Checkpoint`]), so the digest does not pause the serving thread.
+//!
+//! Checkpoints are taken and verified inside the supervisor, so this
+//! crate's code holds no `unwrap`/`expect` outside tests.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaptive;
 pub mod manager;

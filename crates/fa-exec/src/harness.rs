@@ -105,14 +105,11 @@ impl ReplayHarness {
         plan: ChangePlan,
         opts: &ReexecOptions,
     ) -> FaResult<RunReport> {
-        let ckpt = manager
+        manager
             .get(ckpt_id)
             .ok_or(FaError::CheckpointMissing(ckpt_id))?;
-        if !ckpt.verify() {
-            return Err(FaError::CheckpointCorrupt(ckpt_id));
-        }
-        // `restore_into` re-verifies; the ring cannot change under the
-        // shared borrow, so this cannot fail past the checks above.
+        // The id is retained, so `restore_into` fails only on a checkpoint
+        // that does not verify.
         if !manager.restore_into(process, ckpt_id) {
             return Err(FaError::CheckpointCorrupt(ckpt_id));
         }

@@ -76,14 +76,14 @@ impl Clone for ProcessCtx {
 /// was written since the last one, not the size of the heap or the live
 /// set. The call stack, symbols and file table are small and are cloned.
 pub struct CtxSnapshot {
-    mem: MemSnapshot,
+    pub(crate) mem: MemSnapshot,
     alloc: Box<dyn AllocBackend>,
     stack: CallStack,
     symbols: SymbolTable,
-    clock: Clock,
+    pub(crate) clock: Clock,
     costs: Costs,
     files: FileTable,
-    timing_seed: u64,
+    pub(crate) timing_seed: u64,
 }
 
 impl Clone for CtxSnapshot {
@@ -110,14 +110,19 @@ impl CtxSnapshot {
     /// corruption, including a single flipped byte inside a page).
     ///
     /// The content fold reuses hashes cached on the CoW-shared pages, so
-    /// digesting a fresh checkpoint costs O(pages dirtied since the last
-    /// checkpoint), not O(resident pages).
+    /// the rehash costs O(pages dirtied since the last checkpoint) and
+    /// the fold O(resident pages).
+    ///
+    /// fa-checkpoint records this checksum when it takes a checkpoint:
+    /// inline for small dirty sets, and for large ones on a helper thread
+    /// through [`crate::ProcSnapshot::digest_job`], which runs this same
+    /// function over a copy-on-write share of the memory snapshot. The
+    /// shared frames cannot change while the helper holds them, because
+    /// every write, rot included, copies its path first. So the helper
+    /// hashes exactly the state the checkpoint captured, and rot that
+    /// happens after the checkpoint still fails `verify`.
     pub fn digest(&self) -> u64 {
-        let mut h = mix64(0xfa1d ^ self.clock.now());
-        h = mix64(h ^ self.timing_seed);
-        h = mix64(h ^ self.mem.page_count() as u64);
-        h = mix64(h ^ self.mem.referenced_bytes());
-        mix64(h ^ self.mem.content_digest())
+        digest(&self.mem, self.clock.now(), self.timing_seed)
     }
 
     /// Corrupts one byte of snapshotted page data in place (CoW-isolated
@@ -127,6 +132,15 @@ impl CtxSnapshot {
     pub fn rot_page(&mut self) -> bool {
         self.mem.rot_page()
     }
+}
+
+/// The digest of [`CtxSnapshot::digest`] over its inputs.
+pub(crate) fn digest(mem: &MemSnapshot, clock_ns: u64, timing_seed: u64) -> u64 {
+    let mut h = mix64(0xfa1d ^ clock_ns);
+    h = mix64(h ^ timing_seed);
+    h = mix64(h ^ mem.page_count() as u64);
+    h = mix64(h ^ mem.referenced_bytes());
+    mix64(h ^ mem.content_digest())
 }
 
 /// SplitMix64 finalizer used by the snapshot digests.

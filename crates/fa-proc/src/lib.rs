@@ -39,4 +39,4 @@ pub use ctx::{CtxSnapshot, ProcessCtx, DEFAULT_HEAP_BASE};
 pub use fault::Fault;
 pub use files::FileTable;
 pub use input::{Input, InputBuilder};
-pub use process::{FailureRecord, ProcSnapshot, Process, StepResult};
+pub use process::{DigestJob, FailureRecord, ProcSnapshot, Process, StepResult};

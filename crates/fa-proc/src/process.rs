@@ -9,8 +9,10 @@
 
 use std::collections::HashSet;
 
+use fa_mem::MemSnapshot;
+
 use crate::app::{BoxedApp, Response};
-use crate::ctx::{CtxSnapshot, ProcessCtx};
+use crate::ctx::{self, CtxSnapshot, ProcessCtx};
 use crate::fault::Fault;
 use crate::input::Input;
 
@@ -60,11 +62,20 @@ impl ProcSnapshot {
     /// mixed with the cursor). Stored alongside checkpoints so that
     /// corruption — simulated storage rot — is detectable on rollback.
     pub fn digest(&self) -> u64 {
-        self.ctx
-            .digest()
-            .rotate_left(17)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (self.cursor as u64).wrapping_add(0x94d0_49bb_1331_11eb)
+        let ctx = &self.ctx;
+        digest(&ctx.mem, ctx.clock.now(), ctx.timing_seed, self.cursor)
+    }
+
+    /// Returns [`Self::digest`] as a job that owns its inputs, so it can
+    /// run on another thread: a copy-on-write share of the memory
+    /// snapshot (O(1)) and the scalars the digest mixes in.
+    pub fn digest_job(&self) -> DigestJob {
+        DigestJob {
+            mem: self.ctx.mem.clone(),
+            clock_ns: self.ctx.clock.now(),
+            timing_seed: self.ctx.timing_seed,
+            cursor: self.cursor,
+        }
     }
 
     /// Corrupts one byte of snapshotted page data (CoW-isolated from the
@@ -73,6 +84,31 @@ impl ProcSnapshot {
     pub fn rot_page(&mut self) -> bool {
         self.ctx.rot_page()
     }
+}
+
+/// [`ProcSnapshot::digest`] detached from its snapshot; see
+/// [`ProcSnapshot::digest_job`].
+pub struct DigestJob {
+    mem: MemSnapshot,
+    clock_ns: u64,
+    timing_seed: u64,
+    cursor: usize,
+}
+
+impl DigestJob {
+    /// Computes the digest: the same function, over the same inputs, as
+    /// [`ProcSnapshot::digest`] of the snapshot the job was taken from.
+    pub fn run(self) -> u64 {
+        digest(&self.mem, self.clock_ns, self.timing_seed, self.cursor)
+    }
+}
+
+/// The one snapshot digest: the context digest mixed with the cursor.
+fn digest(mem: &MemSnapshot, clock_ns: u64, timing_seed: u64, cursor: usize) -> u64 {
+    ctx::digest(mem, clock_ns, timing_seed)
+        .rotate_left(17)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (cursor as u64).wrapping_add(0x94d0_49bb_1331_11eb)
 }
 
 /// A simulated process under (or before) First-Aid supervision.

@@ -27,6 +27,13 @@ cargo run --release --offline -p fa-bench --bin faults -- --check
 # exists but does not parse fails the gate.
 cargo run --release --offline -p fa-bench --bin perf -- --check
 
+# The wall-clock benchmark, once, on the workload with the largest
+# checkpoints (thousands of dirty pages each): a full-size run that must
+# finish correct, inside the benchmark's own time cap. The benchmark's
+# unit tests above run at 1% size and take no checkpoint.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload cow-bigheap --seconds 5 --trace 0
+
 # Sentry gate: at rate 1/64 the mean allocator overhead must stay under
 # the 5% always-on budget and at least one run must be caught before its
 # organic crash point; the sweep is virtual-clock-deterministic, so the
