@@ -18,11 +18,12 @@
 //!   order-of-magnitude regressions like an accidentally quadratic hot
 //!   path, not noise.
 //!
-//! Three rules are absolute and need no baseline: the TLB hit rate must
+//! Four rules are absolute and need no baseline: the TLB hit rate must
 //! stay at or above 50%, checking an intact canary range may cost at most
-//! 4× filling it, timed in the same run, and a checkpoint that dirtied
-//! thousands of pages may pause the serving thread for at most 100 ns
-//! per dirty page.
+//! 4× filling it, filling a range may cost at most 3/4 of writing the same
+//! number of bytes, both timed in the same run, and a checkpoint that
+//! dirtied thousands of pages may pause the serving thread for at most
+//! 100 ns per dirty page.
 
 use std::time::Instant;
 
@@ -103,6 +104,14 @@ pub struct MemSubstrate {
     /// Median wall-clock cost of filling the same range with the canary,
     /// timed in alternation with the check, in nanoseconds per KiB.
     pub canary_fill_ns_per_kib: f64,
+    /// Median wall-clock cost of `SimMemory::fill` over 64 KiB starting
+    /// mid-page, in nanoseconds per KiB. Whole pages are stored as one
+    /// byte, so this must stay well below `write_ns_per_kib`.
+    pub fill_ns_per_kib: f64,
+    /// Median wall-clock cost of `SimMemory::write` of 64 KiB starting
+    /// mid-page, on a range disjoint from the fill's and timed in
+    /// alternation with it, in nanoseconds per KiB.
+    pub write_ns_per_kib: f64,
 }
 
 /// Diagnosis latency for one application.
@@ -110,7 +119,9 @@ pub struct MemSubstrate {
 pub struct DiagnosisLatency {
     /// Application key.
     pub app: String,
-    /// Wall-clock latency of the diagnosis, in milliseconds.
+    /// Diagnoses timed, each of a freshly failed process.
+    pub runs: usize,
+    /// Median wall-clock latency of one diagnosis, in milliseconds.
     pub wall_ms: f64,
     /// Virtual time charged by the diagnosis, in milliseconds.
     pub virtual_ms: f64,
@@ -274,6 +285,11 @@ fn median<T: Copy + PartialOrd>(mut v: Vec<T>) -> T {
     v[v.len() / 2]
 }
 
+/// The median of `ns` per KiB of a `len`-byte range.
+fn ns_per_kib(ns: Vec<u128>, len: u64) -> f64 {
+    median(ns) as f64 / (len / 1024) as f64
+}
+
 /// A canary check may cost at most this many times a fill of the same
 /// range. Both touch every byte once, so an in-place check costs about
 /// what the fill does; a check that copies the range out first costs
@@ -300,11 +316,36 @@ fn measure_canary(reps: usize) -> (f64, f64) {
         check.push(t.elapsed().as_nanos());
         assert!(found.is_none(), "a freshly filled canary must be intact");
     }
-    let per_kib = |mut ns: Vec<u128>| {
-        ns.sort_unstable();
-        ns[ns.len() / 2] as f64 / (LEN / 1024) as f64
-    };
-    (per_kib(check), per_kib(fill))
+    (ns_per_kib(check, LEN), ns_per_kib(fill, LEN))
+}
+
+/// A fill may cost at most this fraction of a write of the same length.
+/// Storing a whole page as one byte makes a 64 KiB fill cost about half
+/// the write; a fill that writes every byte, as a write does, costs as
+/// much as the write or more.
+const FILL_MAX_WRITE_RATIO: f64 = 0.75;
+
+/// Times `SimMemory::fill` and `SimMemory::write` of 64 KiB, each starting
+/// mid-page, in alternation on disjoint ranges, and returns the median of
+/// each in nanoseconds per KiB.
+fn measure_fill_write(reps: usize) -> (f64, f64) {
+    const LEN: u64 = 64 * 1024;
+    let mut mem = SimMemory::new();
+    let base = Addr(0x7000_0000);
+    mem.map(base, 1 << 20, "fill-bench").unwrap();
+    let fill_at = base.offset(PAGE_SIZE as u64 + 12);
+    let write_at = fill_at.offset(LEN + PAGE_SIZE as u64);
+    let data = vec![0x5a; LEN as usize];
+    let (mut fill, mut write) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let t = Instant::now();
+        mem.fill(fill_at, LEN, 0x5a).unwrap();
+        fill.push(t.elapsed().as_nanos());
+        let t = Instant::now();
+        mem.write(write_at, &data).unwrap();
+        write.push(t.elapsed().as_nanos());
+    }
+    (ns_per_kib(fill, LEN), ns_per_kib(write, LEN))
 }
 
 /// Measures the memory-substrate hot paths.
@@ -315,7 +356,8 @@ fn measure_canary(reps: usize) -> (f64, f64) {
 /// GUARD/RW round trips on a dedicated region, the primitive fa-sentry
 /// uses for every slot placement, poison and release. The canary figures
 /// time the check diagnosis runs on every canary range after each trial
-/// against the fill that wrote the range.
+/// against the fill that wrote the range, and the fill figures time the
+/// zero and canary fills of allocation against a plain write.
 fn measure_mem_substrate(quick: bool) -> MemSubstrate {
     let spec = spec_by_key("apache").unwrap();
     let mut p = launch(&spec, 1 << 28);
@@ -345,8 +387,9 @@ fn measure_mem_substrate(quick: bool) -> MemSubstrate {
         mem.protect(page, PAGE_SIZE as u64, perms).unwrap();
     }
     let guard_flip_ns = t.elapsed().as_nanos() as f64 / flips as f64;
-    let (canary_check_ns_per_kib, canary_fill_ns_per_kib) =
-        measure_canary(if quick { 500 } else { 1_000 });
+    let reps = if quick { 500 } else { 1_000 };
+    let (canary_check_ns_per_kib, canary_fill_ns_per_kib) = measure_canary(reps);
+    let (fill_ns_per_kib, write_ns_per_kib) = measure_fill_write(reps);
     MemSubstrate {
         tlb_hits: stats.hits,
         tlb_misses: stats.misses,
@@ -355,6 +398,8 @@ fn measure_mem_substrate(quick: bool) -> MemSubstrate {
         guard_flip_ns,
         canary_check_ns_per_kib,
         canary_fill_ns_per_kib,
+        fill_ns_per_kib,
+        write_ns_per_kib,
     }
 }
 
@@ -383,23 +428,34 @@ fn build_failed(spec: &AppSpec) -> (Process, CheckpointManager) {
     (p, mgr)
 }
 
-/// Measures the diagnosis latency of one app's failure.
-fn measure_diagnosis(key: &str) -> DiagnosisLatency {
+/// Measures the diagnosis latency of one app's failure: the median wall
+/// time of `runs` diagnoses, each of a freshly failed process. Virtual time
+/// and rollbacks are deterministic, so every run must agree on them.
+fn measure_diagnosis(key: &str, runs: usize) -> DiagnosisLatency {
     let spec = spec_by_key(key).unwrap();
-    let (mut p, mgr) = build_failed(&spec);
     let engine = DiagnosisEngine::with_faults(EngineConfig::default(), FaultPlan::none());
-    let t = Instant::now();
-    let outcome = engine.diagnose(&mut p, &mgr);
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let d = match outcome {
-        DiagnosisOutcome::Diagnosed(d) => d,
-        other => panic!("{key}: diagnosis must succeed, got {other:?}"),
-    };
+    let (mut wall_ms, mut diagnosed) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+    for _ in 0..runs {
+        let (mut p, mgr) = build_failed(&spec);
+        let t = Instant::now();
+        let outcome = engine.diagnose(&mut p, &mgr);
+        wall_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        match outcome {
+            DiagnosisOutcome::Diagnosed(d) => diagnosed.push((d.elapsed_ns, d.rollbacks)),
+            other => panic!("{key}: diagnosis must succeed, got {other:?}"),
+        }
+    }
+    let (elapsed_ns, rollbacks) = diagnosed[0];
+    assert!(
+        diagnosed.iter().all(|&d| d == (elapsed_ns, rollbacks)),
+        "{key}: diagnosis virtual time and rollbacks must not vary between runs"
+    );
     DiagnosisLatency {
         app: key.to_owned(),
-        wall_ms,
-        virtual_ms: d.elapsed_ns as f64 / 1e6,
-        rollbacks: d.rollbacks,
+        runs,
+        wall_ms: median(wall_ms),
+        virtual_ms: elapsed_ns as f64 / 1e6,
+        rollbacks,
     }
 }
 
@@ -416,7 +472,7 @@ pub fn measure(quick: bool) -> PerfReport {
     let memory = measure_mem_substrate(quick);
     let diagnosis = ["apache", "squid"]
         .iter()
-        .map(|k| measure_diagnosis(k))
+        .map(|k| measure_diagnosis(k, if quick { 3 } else { 5 }))
         .collect();
     PerfReport {
         throughput,
@@ -429,9 +485,10 @@ pub fn measure(quick: bool) -> PerfReport {
 
 /// Compares `current` against `baseline`, returning the violations.
 ///
-/// The TLB floor, the canary check/fill ratio and the big-checkpoint
-/// pause per dirty page are absolute (they hold with or without a
-/// baseline); the remaining gates need a baseline to compare against.
+/// The TLB floor, the canary check/fill ratio, the fill/write ratio and
+/// the big-checkpoint pause per dirty page are absolute (they hold with or
+/// without a baseline); the remaining gates need a baseline to compare
+/// against.
 pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String> {
     let mut violations = Vec::new();
     if current.memory.tlb_hit_rate < 0.5 {
@@ -448,6 +505,16 @@ pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String>
         violations.push(format!(
             "canary check {check_ns:.0}ns/KiB exceeds {CANARY_CHECK_MAX_FILL_RATIO}x \
              the fill of the same range {fill_ns:.0}ns/KiB"
+        ));
+    }
+    let (fill_ns, write_ns) = (
+        current.memory.fill_ns_per_kib,
+        current.memory.write_ns_per_kib,
+    );
+    if fill_ns > write_ns * FILL_MAX_WRITE_RATIO {
+        violations.push(format!(
+            "fill {fill_ns:.0}ns/KiB exceeds {FILL_MAX_WRITE_RATIO}x \
+             the write of as many bytes {write_ns:.0}ns/KiB"
         ));
     }
     let big = &current.big_checkpoint;
@@ -542,11 +609,15 @@ pub fn render(r: &PerfReport) -> String {
         "Canary (intact 64 KiB): check {:.1} ns/KiB, fill {:.1} ns/KiB\n",
         r.memory.canary_check_ns_per_kib, r.memory.canary_fill_ns_per_kib
     ));
-    out.push_str("Diagnosis latency\n");
+    out.push_str(&format!(
+        "Fill vs write (64 KiB): fill {:.1} ns/KiB, write {:.1} ns/KiB\n",
+        r.memory.fill_ns_per_kib, r.memory.write_ns_per_kib
+    ));
+    out.push_str("Diagnosis latency (median wall time)\n");
     for d in &r.diagnosis {
         out.push_str(&format!(
-            "  {:<12} virtual {:>8.2} ms  wall {:>7.1} ms  {} rollbacks\n",
-            d.app, d.virtual_ms, d.wall_ms, d.rollbacks,
+            "  {:<12} virtual {:>8.2} ms  wall {:>7.1} ms  {} rollbacks  {} runs\n",
+            d.app, d.virtual_ms, d.wall_ms, d.rollbacks, d.runs,
         ));
     }
     out

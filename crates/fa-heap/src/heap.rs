@@ -300,13 +300,13 @@ impl Heap {
             Some(rng) => rng.random_range(0u32..3) as usize,
             None => 0,
         };
-        let candidates: Vec<u64> = self
-            .bins
-            .range(csize..)
-            .take(skip + 1)
-            .map(|(&s, _)| s)
-            .collect();
-        let &bin_size = candidates.get(skip).or_else(|| candidates.first())?;
+        // The `skip`-th fitting bin, or the best fit when fewer bins fit.
+        let mut sizes = self.bins.range(csize..).map(|(&s, _)| s);
+        let best = sizes.next()?;
+        let bin_size = skip
+            .checked_sub(1)
+            .and_then(|n| sizes.nth(n))
+            .unwrap_or(best);
         let set = self.bins.get_mut(&bin_size)?;
         let &chunk = set.iter().next()?;
         set.remove(&chunk);

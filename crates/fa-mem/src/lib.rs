@@ -9,6 +9,12 @@
 //! * [`SimMemory`] is a sparse, paged address space (4 KiB pages, 39-bit
 //!   VA) backed by a 3-level radix page table with explicit region mapping
 //!   and lazy zero-filled page materialization,
+//! * a [`Page`] whose bytes all hold one value is stored as that byte, so
+//!   [`SimMemory::fill`] of a whole page writes no page data, and reads,
+//!   in-place compares ([`SimMemory::find_not`]) and content hashes of it
+//!   are O(1); bytes are materialized only when a store changes part of
+//!   a page, and no count, digest or virtual time depends on the
+//!   representation,
 //! * every page-table entry carries permission bits ([`Perms`]);
 //!   [`SimMemory::protect`] flips them in O(1) per page — the `mprotect`
 //!   analog behind guard pages and poison-on-free,
@@ -26,7 +32,8 @@
 //!   adaptive checkpoint-interval controller and the checkpoint space
 //!   overhead experiments (paper Table 7),
 //! * [`oracle::FlatMemory`] retains the pre-page-table flat-map
-//!   implementation as a differential-testing oracle.
+//!   implementation, with plain byte-array pages, as a
+//!   differential-testing oracle.
 //!
 //! # Examples
 //!

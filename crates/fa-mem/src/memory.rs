@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::fault::{AccessKind, MemFault};
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, SharedPage, PAGE_SIZE};
 use crate::perm::Perms;
 use crate::region::{Region, RegionId};
 use crate::snapshot::MemSnapshot;
@@ -34,7 +34,9 @@ use crate::tlb::{Tlb, TlbStats};
 /// backing frame plus permission bits; pages of a mapped region default to
 /// [`Perms::RW`] and materialize lazily, zero-filled, on first store, like
 /// anonymous mappings handed out by the kernel. Reads of mapped but
-/// untouched pages observe zeros and never materialize frames.
+/// untouched pages observe zeros and never materialize frames. A frame
+/// whose bytes all hold one value is stored as that byte ([`Page`]), so
+/// [`Self::fill`] over whole pages writes no page data.
 ///
 /// All table nodes are `Arc`-shared with snapshots: [`Self::snapshot`] is
 /// an `Arc` clone of the root, [`Self::restore`] a root swap, and a store
@@ -444,13 +446,8 @@ impl SimMemory {
             let take = in_page.min(buf.len() - filled);
             // Reads walk the table read-only: they must not materialize
             // frames or path-copy shared nodes.
-            match table::walk(&self.root, cursor.page()).and_then(|e| e.frame.as_ref()) {
-                Some(frame) => {
-                    let off = cursor.page_offset();
-                    buf[filled..filled + take].copy_from_slice(&frame.bytes()[off..off + take]);
-                }
-                None => buf[filled..filled + take].fill(0),
-            }
+            self.frame(cursor.page())
+                .read(cursor.page_offset(), &mut buf[filled..filled + take]);
             filled += take;
             cursor = cursor.offset(take as u64);
         }
@@ -466,25 +463,9 @@ impl SimMemory {
         while taken < buf.len() {
             let in_page = PAGE_SIZE - cursor.page_offset();
             let take = in_page.min(buf.len() - taken);
-            let pageno = cursor.page();
-            let entry = table::walk_mut(&mut self.root, pageno);
-            let frame = match &mut entry.frame {
-                Some(frame) => {
-                    if Arc::strong_count(frame) > 1 {
-                        self.cow_faults += 1;
-                    }
-                    Arc::make_mut(frame)
-                }
-                None => {
-                    self.resident += 1;
-                    Arc::make_mut(entry.frame.insert(Arc::new(Page::zeroed())))
-                }
-            };
             let off = cursor.page_offset();
-            frame.bytes_mut()[off..off + take].copy_from_slice(&buf[taken..taken + take]);
-            if !self.tlb.note_dirty(pageno, self.epoch) {
-                self.dirty.insert(pageno);
-            }
+            Arc::make_mut(self.store_slot(cursor.page())).bytes_mut()[off..off + take]
+                .copy_from_slice(&buf[taken..taken + take]);
             taken += take;
             cursor = cursor.offset(take as u64);
         }
@@ -505,9 +486,9 @@ impl SimMemory {
     /// `Some((first, count))`: the offset of the first differing byte and
     /// the number of differing bytes. Access checks, faults, TLB counters
     /// and `bytes_read` are exactly those of [`Self::read`] over the same
-    /// range, and an unmaterialized page compares as zeros. Each page slice
-    /// is compared a word at a time; only a slice that differs is walked
-    /// byte by byte.
+    /// range, and an unmaterialized page compares as zeros. A uniform page
+    /// answers in O(1); a materialized slice is compared a word at a time
+    /// and walked byte by byte only if it differs.
     pub fn find_not(
         &mut self,
         addr: Addr,
@@ -523,23 +504,9 @@ impl SimMemory {
             let cursor = addr.offset(done);
             let off = cursor.page_offset();
             let take = (PAGE_SIZE - off).min((len - done) as usize);
-            match table::walk(&self.root, cursor.page()).and_then(|e| e.frame.as_ref()) {
-                Some(frame) => {
-                    let slice = &frame.bytes()[off..off + take];
-                    if !all_equal(slice, byte) {
-                        for (i, &b) in slice.iter().enumerate() {
-                            if b != byte {
-                                first.get_or_insert(done + i as u64);
-                                count += 1;
-                            }
-                        }
-                    }
-                }
-                None if byte != 0 => {
-                    first.get_or_insert(done);
-                    count += take as u64;
-                }
-                None => {}
+            if let Some((i, n)) = self.frame(cursor.page()).find_not(off, take, byte) {
+                first.get_or_insert(done + i as u64);
+                count += n as u64;
             }
             done += take as u64;
         }
@@ -583,19 +550,73 @@ impl SimMemory {
     }
 
     /// Fills `[addr, addr + len)` with `byte`.
+    ///
+    /// The range is access-checked in 4 KiB chunks from `addr`, exactly as
+    /// a sequence of 4 KiB [`Self::write`]s would be: the same faults, the
+    /// same TLB counts, and on a fault the same prefix of whole chunks
+    /// stored before the fault is returned. The checked prefix is then
+    /// stored one page at a time: a whole page becomes uniform ([`Page`]
+    /// stores it as one byte), a slice of a uniform page that already
+    /// holds `byte` needs no data work, and any other slice is filled in
+    /// place. Each store counts like a write's: a dirty page, a resident
+    /// frame if the page was vacant, and a COW fault if its frame was
+    /// shared, though a shared frame that a whole-page fill replaces is
+    /// not copied first.
     pub fn fill(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), MemFault> {
-        // Chunked to avoid a giant temporary for large fills.
-        const CHUNK: usize = PAGE_SIZE;
-        let tmp = [byte; CHUNK];
-        let mut cursor = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK as u64);
-            self.write(cursor, &tmp[..take as usize])?;
-            cursor = cursor.offset(take);
-            remaining -= take;
+        let mut checked = 0u64;
+        let mut fault = Ok(());
+        while checked < len {
+            let take = (len - checked).min(PAGE_SIZE as u64);
+            fault = self.access_check(addr.offset(checked), take, AccessKind::Write);
+            if fault.is_err() {
+                break;
+            }
+            checked += take;
         }
-        Ok(())
+        self.bytes_written += checked;
+        let mut done = 0u64;
+        while done < checked {
+            let cursor = addr.offset(done);
+            let off = cursor.page_offset();
+            let take = (PAGE_SIZE - off).min((checked - done) as usize);
+            let slot = self.store_slot(cursor.page());
+            if take == PAGE_SIZE && Arc::strong_count(slot) > 1 {
+                *slot = Arc::new(Page::uniform(byte));
+            } else {
+                Arc::make_mut(slot).fill(off, take, byte);
+            }
+            done += take as u64;
+        }
+        fault
+    }
+
+    /// Returns the frame of page `pageno` for reading; a vacant page reads
+    /// as a shared uniform zero page.
+    #[inline]
+    fn frame(&self, pageno: u64) -> &Page {
+        static VACANT: Page = Page::zeroed();
+        table::walk(&self.root, pageno)
+            .and_then(|e| e.frame.as_deref())
+            .unwrap_or(&VACANT)
+    }
+
+    /// Returns the frame slot of page `pageno` for a store, counting the
+    /// store: the page is dirty, a vacant page gets a new zero frame, and a
+    /// frame still shared with a snapshot counts a COW fault (the caller
+    /// replicates or replaces it).
+    fn store_slot(&mut self, pageno: u64) -> &mut SharedPage {
+        if !self.tlb.note_dirty(pageno, self.epoch) {
+            self.dirty.insert(pageno);
+        }
+        let entry = table::walk_mut(&mut self.root, pageno);
+        if entry.frame.is_none() {
+            self.resident += 1;
+        }
+        let frame = entry.frame.get_or_insert_with(|| Arc::new(Page::zeroed()));
+        if Arc::strong_count(frame) > 1 {
+            self.cow_faults += 1;
+        }
+        frame
     }
 
     /// Copies `len` bytes from `src` to `dst` through a page-sized stack
@@ -727,20 +748,6 @@ impl Default for SimMemory {
     fn default() -> Self {
         SimMemory::new()
     }
-}
-
-/// Returns `true` if every byte of `bytes` equals `byte`.
-///
-/// The whole words are OR-folded without an early exit, so the loop
-/// compiles to vector compares; the trailing partial word is checked byte
-/// by byte.
-fn all_equal(bytes: &[u8], byte: u8) -> bool {
-    let pattern = u64::from_ne_bytes([byte; 8]);
-    let mut words = bytes.chunks_exact(8);
-    let diff = words.by_ref().fold(0, |acc, w| {
-        acc | (u64::from_ne_bytes(w.try_into().expect("8-byte word")) ^ pattern)
-    });
-    diff == 0 && words.remainder().iter().all(|&b| b == byte)
 }
 
 #[cfg(test)]
@@ -1050,6 +1057,76 @@ mod tests {
             0x5a
         );
         assert_eq!(mem.read_u8(base.offset(9)).unwrap(), 0);
+    }
+
+    #[test]
+    fn fill_stores_whole_pages_uniform_and_reads_them_back() {
+        let (mut mem, base) = mapped();
+        // Mid-page start: two partial edge pages around two whole ones.
+        let start = base.offset(100);
+        mem.fill(start, 3 * PAGE_SIZE as u64, 0xab).unwrap();
+        assert_eq!(mem.resident_pages(), 4);
+        assert_eq!(mem.dirty_page_count(), 4);
+        assert_eq!(mem.bytes_written(), 3 * PAGE_SIZE as u64);
+        assert_eq!(mem.find_not(start, 3 * PAGE_SIZE as u64, 0xab), Ok(None));
+        assert_eq!(mem.read_u8(base.offset(99)).unwrap(), 0);
+        let end = start.offset(3 * PAGE_SIZE as u64);
+        assert_eq!(mem.read_u8(end).unwrap(), 0);
+        // A partial write into a uniform page materializes it.
+        mem.write_u8(base.offset(PAGE_SIZE as u64 + 5), 1).unwrap();
+        assert_eq!(
+            mem.find_not(start, 3 * PAGE_SIZE as u64, 0xab),
+            Ok(Some((PAGE_SIZE as u64 - 95, 1)))
+        );
+    }
+
+    #[test]
+    fn fill_stops_at_the_first_faulting_chunk() {
+        let (mut mem, base) = mapped();
+        // The third 4 KiB chunk from `start` reaches the guard page.
+        let start = base.offset(8);
+        mem.protect(
+            base.offset(3 * PAGE_SIZE as u64),
+            PAGE_SIZE as u64,
+            Perms::GUARD,
+        )
+        .unwrap();
+        let err = mem.fill(start, 4 * PAGE_SIZE as u64, 0x5a).unwrap_err();
+        assert_eq!(
+            err,
+            MemFault::GuardTrap {
+                addr: start.offset(2 * PAGE_SIZE as u64),
+                kind: AccessKind::Write,
+                len: PAGE_SIZE as u64,
+            }
+        );
+        // Two whole chunks were stored: up to 8 bytes into page 2.
+        assert_eq!(mem.bytes_written(), 2 * PAGE_SIZE as u64);
+        assert_eq!(mem.find_not(start, 2 * PAGE_SIZE as u64, 0x5a), Ok(None));
+        assert_eq!(mem.read_u8(start.offset(2 * PAGE_SIZE as u64)).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 3);
+    }
+
+    #[test]
+    fn whole_page_fill_of_shared_pages_counts_a_cow_fault_per_page() {
+        let (mut mem, base) = mapped();
+        let len = 4 * PAGE_SIZE as u64;
+        mem.write(base, &vec![7u8; len as usize]).unwrap();
+        let snap = mem.snapshot();
+        mem.fill(base, len, 0).unwrap();
+        assert_eq!(mem.cow_faults(), 4, "one COW fault per shared page");
+        mem.fill(base, len, 1).unwrap();
+        assert_eq!(mem.cow_faults(), 4, "the pages are private again");
+        // The snapshot keeps its bytes; the live pages are uniform ones.
+        mem.restore(&snap);
+        assert_eq!(mem.find_not(base, len, 7), Ok(None));
+
+        // Same counts as writing the same bytes.
+        let (mut by_write, base) = mapped();
+        by_write.write(base, &vec![7u8; len as usize]).unwrap();
+        let _snap = by_write.snapshot();
+        by_write.write(base, &vec![0u8; len as usize]).unwrap();
+        assert_eq!(by_write.cow_faults(), 4);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! drive both implementations with the same operation stream and compare
 //! every observable (`tests/differential.rs`).
 //!
+//! Its pages are plain byte arrays, never the uniform pages of
+//! [`crate::Page`], so the differential tests check that representation
+//! against bytes.
+//!
 //! Keep this module boring: any cleverness added here weakens the oracle.
 
 use std::collections::btree_map::Entry;
@@ -16,17 +20,20 @@ use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::fault::{AccessKind, MemFault};
-use crate::page::{Page, SharedPage, PAGE_SIZE};
+use crate::page::{hash_bytes, PAGE_SIZE};
 use crate::perm::Perms;
 use crate::region::{Region, RegionId};
 use crate::table::VA_LIMIT;
+
+/// A page of the oracle: its bytes in full, shared copy-on-write.
+type FlatPage = Arc<[u8; PAGE_SIZE]>;
 
 /// Snapshot of a [`FlatMemory`]: a full clone of the page and permission
 /// maps (O(resident pages), unlike the O(1) paged snapshot).
 #[derive(Clone)]
 pub struct FlatSnapshot {
     regions: Vec<Region>,
-    pages: BTreeMap<u64, SharedPage>,
+    pages: BTreeMap<u64, FlatPage>,
     perms: BTreeMap<u64, Perms>,
     next_region: u32,
 }
@@ -42,7 +49,7 @@ impl FlatSnapshot {
     pub fn content_digest(&self) -> u64 {
         let mut h = 0xfa1d_c0de_5eed_0001u64;
         for (pageno, page) in &self.pages {
-            h = crate::snapshot::mix64(h ^ pageno.rotate_left(32) ^ page.content_hash());
+            h = crate::snapshot::mix64(h ^ pageno.rotate_left(32) ^ hash_bytes(page));
         }
         h
     }
@@ -54,7 +61,7 @@ pub struct FlatMemory {
     /// Mapped regions, sorted by start address.
     regions: Vec<Region>,
     /// Materialized pages by page number.
-    pages: BTreeMap<u64, SharedPage>,
+    pages: BTreeMap<u64, FlatPage>,
     /// Non-default permissions by page number (absent ⇒ [`Perms::RW`]).
     perms: BTreeMap<u64, Perms>,
     dirty: BTreeSet<u64>,
@@ -261,7 +268,7 @@ impl FlatMemory {
             match self.pages.get(&cursor.page()) {
                 Some(page) => {
                     let off = cursor.page_offset();
-                    buf[filled..filled + take].copy_from_slice(&page.bytes()[off..off + take]);
+                    buf[filled..filled + take].copy_from_slice(&page[off..off + take]);
                 }
                 None => buf[filled..filled + take].fill(0),
             }
@@ -283,11 +290,10 @@ impl FlatMemory {
             let pageno = cursor.page();
             let page = match self.pages.entry(pageno) {
                 Entry::Occupied(slot) => slot.into_mut(),
-                Entry::Vacant(slot) => slot.insert(Arc::new(Page::zeroed())),
+                Entry::Vacant(slot) => slot.insert(Arc::new([0; PAGE_SIZE])),
             };
             let off = cursor.page_offset();
-            Arc::make_mut(page).bytes_mut()[off..off + take]
-                .copy_from_slice(&buf[taken..taken + take]);
+            Arc::make_mut(page)[off..off + take].copy_from_slice(&buf[taken..taken + take]);
             self.dirty.insert(pageno);
             taken += take;
             cursor = cursor.offset(take as u64);

@@ -209,4 +209,21 @@ mod tests {
         assert_eq!(clean.content_digest(), d, "sibling snapshot unaffected");
         assert_eq!(mem.read_u64(base).unwrap(), 7, "live memory unaffected");
     }
+
+    #[test]
+    fn rot_page_on_a_uniform_page_changes_digest() {
+        let mut mem = SimMemory::new();
+        let base = Addr(0x1000_0000);
+        mem.map(base, 1 << 20, "heap").unwrap();
+        for byte in [0, 0xab] {
+            mem.fill(base, PAGE_SIZE as u64, byte).unwrap();
+            let clean = mem.snapshot();
+            let d = clean.content_digest();
+            let mut rotted = clean.clone();
+            assert!(rotted.rot_page());
+            assert_ne!(rotted.content_digest(), d, "rot must change the digest");
+            assert_eq!(clean.content_digest(), d, "sibling snapshot unaffected");
+            assert_eq!(mem.find_not(base, PAGE_SIZE as u64, byte), Ok(None));
+        }
+    }
 }

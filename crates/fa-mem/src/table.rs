@@ -274,14 +274,18 @@ mod tests {
         // Store after the snapshot: path-copies and replicates the frame.
         let e = walk_mut(&mut live, 7);
         Arc::make_mut(e.frame.as_mut().unwrap()).bytes_mut()[0] = 2;
-        assert_eq!(
-            walk(&snap, 7).unwrap().frame.as_ref().unwrap().bytes()[0],
-            1
-        );
-        assert_eq!(
-            walk(&live, 7).unwrap().frame.as_ref().unwrap().bytes()[0],
-            2
-        );
+        let first_byte = |root: &Root| {
+            let mut b = [0u8];
+            walk(root, 7)
+                .unwrap()
+                .frame
+                .as_ref()
+                .unwrap()
+                .read(0, &mut b);
+            b[0]
+        };
+        assert_eq!(first_byte(&snap), 1);
+        assert_eq!(first_byte(&live), 2);
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! TLB) against the retained flat-map oracle.
 //!
 //! Every generated operation — map/unmap/grow, protect with guard and
-//! poison bits, byte-granular reads/writes/fills/copies, snapshot and
-//! restore — is applied to both [`SimMemory`] and [`FlatMemory`], and
-//! every observable is compared after each step: the operation `Result`
-//! (including the exact [`MemFault`]), returned data, mapped bytes,
-//! resident and dirty page counts, per-page effective permissions
-//! (with the dynamic COW bit), and snapshot page counts and content
-//! digests. The vendored proptest shim seeds each case from the test
-//! name, so failures replay deterministically.
+//! poison bits, byte-granular reads/writes/fills/copies, page-aligned
+//! whole-page fills, in-place compares, snapshot and restore — is applied
+//! to both [`SimMemory`] and [`FlatMemory`], and every observable is
+//! compared after each step: the operation `Result` (including the exact
+//! [`MemFault`]), returned data, mapped bytes, resident and dirty page
+//! counts, bytes read and written, per-page effective permissions (with
+//! the dynamic COW bit), and snapshot page counts and content digests.
+//! The oracle stores every page as bytes, so this also checks
+//! `SimMemory`'s uniform pages against their bytes. The vendored proptest
+//! shim seeds each case from the test name, so failures replay
+//! deterministically.
 
 use proptest::prelude::*;
 
-use fa_mem::{Addr, FlatMemory, Perms, RegionId, SimMemory, PAGE_SIZE};
+use fa_mem::{Addr, FlatMemory, MemFault, Perms, RegionId, SimMemory, PAGE_SIZE};
 
 const PAGE: u64 = PAGE_SIZE as u64;
 /// Fixed region slots, far enough apart that growth never collides.
@@ -27,6 +30,9 @@ const SPAN_PAGES: u64 = 20;
 /// Bound on live snapshots (oldest dropped first), so COW sharing both
 /// appears and disappears during a run.
 const SNAP_CAP: usize = 3;
+/// Fill bytes drawn often, so same-byte refills of uniform pages and
+/// uniform → partial → COW sequences are common.
+const FILL_BYTES: [u8; 3] = [0x00, 0xab, 0x77];
 
 fn base(slot: usize) -> u64 {
     0x4000_0000 + slot as u64 * SLOT_SPACING
@@ -69,6 +75,19 @@ enum Op {
         len: u64,
         byte: u8,
     },
+    /// A page-aligned fill of whole pages.
+    WholeFill {
+        slot: usize,
+        first: u64,
+        pages: u64,
+        byte: u8,
+    },
+    FindNot {
+        slot: usize,
+        off: u64,
+        len: u64,
+        byte: u8,
+    },
     Copy {
         dslot: usize,
         doff: u64,
@@ -90,6 +109,10 @@ fn perm_strategy() -> impl Strategy<Value = Perms> {
     ]
 }
 
+fn fill_byte() -> impl Strategy<Value = u8> {
+    (0..FILL_BYTES.len()).prop_map(|i| FILL_BYTES[i])
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     let slot = 0..SLOTS;
     let off = 0..SPAN_PAGES * PAGE;
@@ -105,8 +128,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(slot, off, len, seed)| Op::Write { slot, off, len, seed }),
         3 => (slot.clone(), off.clone(), len.clone())
             .prop_map(|(slot, off, len)| Op::Read { slot, off, len }),
-        2 => (slot.clone(), off.clone(), len.clone(), any::<u8>())
+        2 => (slot.clone(), off.clone(), len.clone(), prop_oneof![any::<u8>(), fill_byte()])
             .prop_map(|(slot, off, len, byte)| Op::Fill { slot, off, len, byte }),
+        3 => (slot.clone(), 0..SPAN_PAGES, 1..4u64, fill_byte())
+            .prop_map(|(slot, first, pages, byte)| Op::WholeFill { slot, first, pages, byte }),
+        2 => (slot.clone(), off.clone(), len.clone(), fill_byte())
+            .prop_map(|(slot, off, len, byte)| Op::FindNot { slot, off, len, byte }),
         2 => (slot.clone(), off.clone(), slot, off, len)
             .prop_map(|(dslot, doff, sslot, soff, len)| Op::Copy { dslot, doff, sslot, soff, len }),
         1 => Just(Op::Snapshot),
@@ -119,6 +146,21 @@ fn pattern(seed: u8, len: u64) -> Vec<u8> {
     (0..len)
         .map(|i| seed.wrapping_add(i as u8).wrapping_mul(167))
         .collect()
+}
+
+/// The reference for [`SimMemory::find_not`]: the oracle's bytes, compared
+/// one at a time.
+fn find_not_reference(
+    flat: &mut FlatMemory,
+    addr: Addr,
+    len: u64,
+    byte: u8,
+) -> Result<Option<(u64, u64)>, MemFault> {
+    let bytes = flat.read_bytes(addr, len)?;
+    let mut differing = (0u64..).zip(bytes).filter(|&(_, b)| b != byte);
+    Ok(differing
+        .next()
+        .map(|(first, _)| (first, 1 + differing.count() as u64)))
 }
 
 /// Region ids per slot for each implementation. Ids are assigned from
@@ -194,6 +236,22 @@ proptest! {
                         "fill diverged at step {}: {:?}", step, op
                     );
                 }
+                Op::WholeFill { slot, first, pages, byte } => {
+                    let (addr, len) = (Addr(base(slot) + first * PAGE), pages * PAGE);
+                    prop_assert_eq!(
+                        paged.fill(addr, len, byte),
+                        flat.fill(addr, len, byte),
+                        "whole-page fill diverged at step {}: {:?}", step, op
+                    );
+                }
+                Op::FindNot { slot, off, len, byte } => {
+                    let addr = Addr(base(slot) + off);
+                    prop_assert_eq!(
+                        paged.find_not(addr, len, byte),
+                        find_not_reference(&mut flat, addr, len, byte),
+                        "find_not diverged at step {}: {:?}", step, op
+                    );
+                }
                 Op::Copy { dslot, doff, sslot, soff, len } => {
                     let (dst, src) = (Addr(base(dslot) + doff), Addr(base(sslot) + soff));
                     prop_assert_eq!(paged.copy(dst, src, len), flat.copy(dst, src, len),
@@ -230,6 +288,10 @@ proptest! {
                 "resident_pages diverged at step {}: {:?}", step, op);
             prop_assert_eq!(paged.dirty_page_count(), flat.dirty_page_count(),
                 "dirty_page_count diverged at step {}: {:?}", step, op);
+            prop_assert_eq!(paged.bytes_read(), flat.bytes_read(),
+                "bytes_read diverged at step {}: {:?}", step, op);
+            prop_assert_eq!(paged.bytes_written(), flat.bytes_written(),
+                "bytes_written diverged at step {}: {:?}", step, op);
             for s in 0..SLOTS {
                 for k in 0..SPAN_PAGES {
                     let a = Addr(base(s) + k * PAGE);

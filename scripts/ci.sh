@@ -34,6 +34,13 @@ cargo run --release --offline -p fa-bench --bin perf -- --check
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload cow-bigheap --seconds 5 --trace 0
 
+# The same, once, on the recovery workload: all nine Table-3 bugs are
+# diagnosed under re-execution (fills, canaries, rollbacks), and the run
+# fails unless every case's first recovery is Patched with the expected
+# bug type.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload recover --seconds 2 --trace 0
+
 # Sentry gate: at rate 1/64 the mean allocator overhead must stay under
 # the 5% always-on budget and at least one run must be caught before its
 # organic crash point; the sweep is virtual-clock-deterministic, so the
