@@ -14,9 +14,6 @@ use serde::Serialize;
 
 use crate::paper_config;
 
-/// Sampling window (250 ms, as in Fig. 4).
-pub const WINDOW_NS: u64 = 250_000_000;
-
 /// One application's shared-vs-ablation comparison.
 #[derive(Debug, Serialize)]
 pub struct FleetExperiment {
@@ -37,8 +34,6 @@ fn config(workers: usize, sharing: PoolSharing) -> FleetConfig {
         workers,
         sharing,
         runtime: paper_config(),
-        window_ns: WINDOW_NS,
-        ..FleetConfig::default()
     }
 }
 

@@ -7,10 +7,12 @@
 //!    actual patches and the virtual diagnosis cost (`recovery_ns`)
 //!    that seed the scale model ([`fa_fleet::AppPlan`]).
 //! 2. **Scale points** — a [`fa_fleet::ScaleFleet`] at 10², 10³, 10⁴
-//!    and 10⁵ workers on the mixed 9-app traffic profile. Virtual-time
-//!    outputs (time-to-fleet-immunity, patch hits, failures, checksum)
-//!    are deterministic and gated *exactly*; wall-clock throughput of
-//!    the real threaded query phase is gated with slack.
+//!    and 10⁵ workers on the mixed 9-app traffic profile, each run
+//!    [`REPEATS`] times in one process. Virtual-time outputs
+//!    (time-to-fleet-immunity, patch hits, failures, checksum) are
+//!    deterministic: every repetition must agree, and they are gated
+//!    *exactly*. Wall-clock throughput of the real threaded query phase
+//!    is the fastest repetition's, gated with slack.
 //! 3. **Query latency** — the retired locked read (`get_locked`:
 //!    mutex + full `PatchSet` clone) vs the lock-free plane (`get`)
 //!    under multi-threaded contention; the `--check` gate requires the
@@ -23,7 +25,7 @@
 //! (linear) propagation.
 
 use fa_apps::{all_specs, WorkloadSpec};
-use fa_fleet::{measure_query_latency, AppPlan, ScaleConfig, ScaleFleet};
+use fa_fleet::{measure_query_latency, AppPlan, ScaleConfig, ScaleFleet, ScaleOutcome};
 use first_aid_core::{FirstAidRuntime, PatchPool};
 use serde::{Deserialize, Serialize};
 
@@ -39,8 +41,18 @@ pub const SPEEDUP_GATE: f64 = 5.0;
 pub const SUBLINEAR_FACTOR: f64 = 3.163;
 
 /// Wall-clock throughput may drop to this fraction of the committed
-/// baseline before the gate fires (same slack policy as `perf`).
-pub const THROUGHPUT_SLACK: f64 = 0.35;
+/// baseline before the gate fires. Both sides are the fastest of
+/// [`REPEATS`] runs. On a shared 2-vCPU machine the slowest unchanged
+/// runs read 0.78 of the committed baseline, while a 2× per-query
+/// slowdown mostly reads below 0.7 and a 3× one always does. The ratio
+/// depends on how fast the machine was when the baseline was written, so
+/// re-check it whenever the baseline is regenerated.
+pub const THROUGHPUT_SLACK: f64 = 0.7;
+
+/// Runs of each scale point; the fastest query phase is reported. The
+/// first run of a point pays thread start-up and cold caches, so a
+/// single run's throughput says more about the machine than the code.
+pub const REPEATS: usize = 5;
 
 /// One application's diagnosis-phase result.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -75,6 +87,39 @@ pub struct ScalePoint {
     pub elapsed_ms: f64,
     /// Real aggregate throughput of the query phase.
     pub inputs_per_sec: f64,
+}
+
+impl ScalePoint {
+    fn from_outcome(o: ScaleOutcome) -> ScalePoint {
+        ScalePoint {
+            workers: o.workers,
+            cells: o.cells,
+            gossip_rounds: o.gossip_rounds,
+            inputs: o.inputs,
+            immunity_ns: o.immunity_ns,
+            last_publish_ns: o.last_publish_ns,
+            patch_hits: o.patch_hits,
+            failures: o.failures,
+            checksum: o.checksum,
+            elapsed_ms: o.elapsed_ns as f64 / 1e6,
+            inputs_per_sec: o.inputs_per_sec,
+        }
+    }
+
+    /// The virtual-time fields, which every run of one configuration
+    /// must reproduce exactly.
+    fn deterministic(&self) -> (usize, u32, u64, u64, u64, u64, u64, u64) {
+        (
+            self.cells,
+            self.gossip_rounds,
+            self.inputs,
+            self.immunity_ns,
+            self.last_publish_ns,
+            self.patch_hits,
+            self.failures,
+            self.checksum,
+        )
+    }
 }
 
 /// Locked-vs-lock-free query latency under contention.
@@ -129,10 +174,34 @@ fn scale_config(workers: usize) -> ScaleConfig {
     }
 }
 
-/// Runs the full benchmark. `check` trims the latency iteration count
-/// (a wall-clock-only measurement); every deterministic quantity uses
-/// identical parameters in both modes so the exact-equality gates hold.
-pub fn measure(check: bool) -> FleetScaleReport {
+/// Runs `fleet` [`REPEATS`] times and keeps the fastest run. Appends a
+/// violation to `drift` for each run whose deterministic fields differ
+/// from the first run's.
+fn fastest_of_repeats(fleet: &ScaleFleet, drift: &mut Vec<String>) -> ScalePoint {
+    let mut best = ScalePoint::from_outcome(fleet.run());
+    let first = best.deterministic();
+    for _ in 1..REPEATS {
+        let point = ScalePoint::from_outcome(fleet.run());
+        if point.deterministic() != first {
+            drift.push(format!(
+                "repetitions disagree at {} workers: {:?} vs first run {first:?}",
+                point.workers,
+                point.deterministic()
+            ));
+        }
+        if point.inputs_per_sec > best.inputs_per_sec {
+            best = point;
+        }
+    }
+    best
+}
+
+/// Runs the full benchmark and returns the report together with any
+/// repetition drift (see [`fastest_of_repeats`]). `check` trims the
+/// latency iteration count (a wall-clock-only measurement); every
+/// deterministic quantity uses identical parameters in both modes so the
+/// exact-equality gates hold.
+pub fn measure(check: bool) -> (FleetScaleReport, Vec<String>) {
     let plans = diagnose_plans();
     let apps = plans
         .iter()
@@ -144,23 +213,11 @@ pub fn measure(check: bool) -> FleetScaleReport {
         .collect();
 
     let mut points = Vec::new();
+    let mut drift = Vec::new();
     let mut last_fleet: Option<ScaleFleet> = None;
     for workers in SIZES {
         let fleet = ScaleFleet::new(scale_config(workers), plans.clone());
-        let o = fleet.run();
-        points.push(ScalePoint {
-            workers: o.workers,
-            cells: o.cells,
-            gossip_rounds: o.gossip_rounds,
-            inputs: o.inputs,
-            immunity_ns: o.immunity_ns,
-            last_publish_ns: o.last_publish_ns,
-            patch_hits: o.patch_hits,
-            failures: o.failures,
-            checksum: o.checksum,
-            elapsed_ms: o.elapsed_ns as f64 / 1e6,
-            inputs_per_sec: o.inputs_per_sec,
-        });
+        points.push(fastest_of_repeats(&fleet, &mut drift));
         last_fleet = Some(fleet);
     }
 
@@ -170,7 +227,7 @@ pub fn measure(check: bool) -> FleetScaleReport {
     let threads = fa_fleet::scale::default_threads();
     let iters = if check { 60_000 } else { 150_000 };
     let lat = measure_query_latency(fleet.pool(), &programs, threads, iters);
-    FleetScaleReport {
+    let report = FleetScaleReport {
         apps,
         latency: LatencyPoint {
             threads: lat.threads,
@@ -180,7 +237,8 @@ pub fn measure(check: bool) -> FleetScaleReport {
             speedup: lat.speedup,
         },
         points,
-    }
+    };
+    (report, drift)
 }
 
 /// Paper-style text rendering.
@@ -263,34 +321,14 @@ pub fn check(baseline: Option<&FleetScaleReport>, current: &FleetScaleReport) ->
             continue;
         };
         // Virtual-time quantities are deterministic: exact equality.
-        let det_cur = (
-            cur.cells,
-            cur.gossip_rounds,
-            cur.inputs,
-            cur.immunity_ns,
-            cur.last_publish_ns,
-            cur.patch_hits,
-            cur.failures,
-            cur.checksum,
-        );
-        let det_base = (
-            b.cells,
-            b.gossip_rounds,
-            b.inputs,
-            b.immunity_ns,
-            b.last_publish_ns,
-            b.patch_hits,
-            b.failures,
-            b.checksum,
-        );
+        let (det_cur, det_base) = (cur.deterministic(), b.deterministic());
         if det_cur != det_base {
             violations.push(format!(
                 "deterministic drift at {} workers: current {det_cur:?} vs baseline {det_base:?}",
                 cur.workers
             ));
         }
-        // Wall-clock throughput: generous slack, catches only
-        // order-of-magnitude regressions.
+        // Wall-clock throughput, fastest of REPEATS runs on both sides.
         if cur.inputs_per_sec < b.inputs_per_sec * THROUGHPUT_SLACK {
             violations.push(format!(
                 "query-phase throughput at {} workers fell to {:.2} Minputs/s \

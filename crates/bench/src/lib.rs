@@ -23,6 +23,8 @@
 //! [`gate`] holds what the binaries share: baseline loading for the
 //! `--check` gates and writing reports to `results/`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod crash;
 pub mod faults;

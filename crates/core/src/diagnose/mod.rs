@@ -207,8 +207,9 @@ impl DiagnosisEngine {
         0
     }
 
-    /// Trials that could not run (lost checkpoint, poisoned worker);
-    /// each degraded to a failed run instead of aborting diagnosis.
+    /// Trials that could not run (lost or corrupt checkpoint, foreign
+    /// allocator); each degraded to a failed run instead of aborting
+    /// diagnosis.
     pub fn trial_errors(&self) -> usize {
         self.trial_errors.get()
     }

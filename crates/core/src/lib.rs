@@ -58,6 +58,9 @@
 // Supervision code must not be what crashes: no `unwrap`/`expect`
 // outside tests, except at sites whose `#[allow]` says why.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The patch pool's lock-free read plane is the one module allowed
+// `unsafe` (see `patchpool::plane`); everything else stays safe.
+#![deny(unsafe_code)]
 
 pub mod baselines;
 pub mod diagnose;
@@ -74,9 +77,7 @@ pub use diagnose::{
     EngineConfig,
 };
 pub use metrics::{DegradationMetrics, ThroughputSampler};
-pub use patchpool::{
-    EventCursor, EventPoll, PatchPool, PoolEvent, PoolEventKind, PoolEvents, QuarantinePolicy,
-};
+pub use patchpool::{PatchPool, QuarantinePolicy};
 pub use report::BugReport;
 pub use runtime::{
     FeedOutcome, FirstAidConfig, FirstAidRuntime, RecoveryKind, RecoveryRecord, RunSummary,

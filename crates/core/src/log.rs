@@ -5,8 +5,8 @@
 //! go straight to stderr; a fleet of workers would interleave them
 //! mid-line, and tests could not observe them at all. Every diagnostic
 //! now goes through [`warn`], and the process-wide sink can be swapped:
-//! stderr (default), discard, or capture into a buffer that tests and
-//! the fleet supervisor drain via [`capture`] / [`Capture::drain`].
+//! stderr (default) or capture into a buffer that tests drain via
+//! [`capture`] / [`Capture::drain`].
 //!
 //! The sink lock is a `parking_lot` mutex: panic-transparent, so a
 //! worker thread that dies mid-trial cannot poison the sink and turn
@@ -20,8 +20,6 @@ use parking_lot::Mutex;
 enum Sink {
     /// Write each line to stderr (the default).
     Stderr,
-    /// Drop diagnostics.
-    Discard,
     /// Append lines to a shared buffer.
     Capture(Capture),
 }
@@ -64,7 +62,6 @@ pub fn warn(line: impl AsRef<str>) {
     let line = line.as_ref();
     match &*sink().lock() {
         Sink::Stderr => eprintln!("first-aid: {line}"),
-        Sink::Discard => {}
         Sink::Capture(capture) => {
             capture.lines.lock().push(line.to_owned());
         }
@@ -74,11 +71,6 @@ pub fn warn(line: impl AsRef<str>) {
 /// Routes diagnostics to stderr (the default).
 pub fn use_stderr() {
     *sink().lock() = Sink::Stderr;
-}
-
-/// Silences diagnostics.
-pub fn use_discard() {
-    *sink().lock() = Sink::Discard;
 }
 
 /// Routes diagnostics into a fresh capture buffer and returns it.

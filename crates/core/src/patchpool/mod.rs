@@ -21,11 +21,10 @@
 //!   [`PatchPool::get_locked`], the benchmark baseline and stress-test
 //!   oracle.
 //!
-//! For fleet operation the pool carries two change signals: the
-//! per-program [`PatchPool::epoch`] (lock-free, from the plane), and an
-//! epoch-stamped event log ([`PatchPool::events`]) that tells
-//! subscribers *which* program moved, so a worker refreshes only on
-//! events for its own program instead of on any pool movement.
+//! For fleet operation the pool carries one change signal: the
+//! per-program [`PatchPool::epoch`], read lock-free from the plane. A
+//! worker compares it before each input and re-reads its patch set only
+//! when its own program moved.
 //!
 //! Two crash-safety layers sit underneath:
 //!
@@ -58,10 +57,11 @@ use fa_wal::{
 
 use crate::log;
 
-mod events;
+// The plane's raw-pointer swap is sound by the retire-until-drop
+// reclamation argument in `plane.rs`'s module docs.
+#[allow(unsafe_code)]
 mod plane;
 
-pub use events::{EventCursor, EventPoll, PoolEvent, PoolEventKind, PoolEvents};
 use plane::{PlaneEntry, ReadPlane};
 
 /// When a call-site's patches may flap back in after revocation.
@@ -163,8 +163,6 @@ pub struct PatchPool {
     /// the allocation fast path. Rebuilt (for the affected program) and
     /// swapped under `inner`'s mutex on every effective mutation.
     plane: Arc<ReadPlane>,
-    /// Epoch-stamped mutation events for fleet subscribers.
-    events: Arc<PoolEvents>,
     /// The supervision journal, if this pool is crash-safe.
     journal: Option<Wal>,
     /// Worker scope of this clone: which canaries it sees.
@@ -177,7 +175,6 @@ impl PatchPool {
         PatchPool {
             inner: Arc::new(Mutex::new(Pools::default())),
             plane: Arc::new(ReadPlane::new()),
-            events: Arc::new(PoolEvents::default()),
             journal: None,
             scope: None,
         }
@@ -245,18 +242,7 @@ impl PatchPool {
             return;
         }
         let mut pools = self.inner.lock();
-        // Suppression syncs do not bump epochs (they are runtime
-        // records, not pool state), but fleet observers still want to
-        // see them flow past.
-        let suppressed = match &op {
-            WalOp::SentrySuppress(s) => Some(s.program.clone()),
-            _ => None,
-        };
         self.journal_ops(&mut pools, vec![op]);
-        if let Some(program) = suppressed {
-            let epoch = pools.epoch_by_program.get(&program).copied().unwrap_or(0);
-            self.events.emit(&program, epoch, PoolEventKind::Suppress);
-        }
     }
 
     /// Replays the journal into the pool. Records at or below the
@@ -275,16 +261,8 @@ impl PatchPool {
         }
         if applied > 0 {
             // Replay bypassed the per-mutation publishes: rebuild the
-            // whole plane once and announce each recovered program.
+            // whole plane once.
             self.republish_all(&pools);
-            let programs: Vec<(String, u64)> = pools
-                .epoch_by_program
-                .iter()
-                .map(|(p, e)| (p.clone(), *e))
-                .collect();
-            for (program, epoch) in programs {
-                self.events.emit(&program, epoch, PoolEventKind::Recovered);
-            }
         }
         applied
     }
@@ -340,9 +318,8 @@ impl PatchPool {
     }
 
     /// Publishes `program`'s current state to the read plane. Called
-    /// with the pool mutex held, after journaling and before the event
-    /// is emitted, so journal order, publication order and event order
-    /// always agree.
+    /// with the pool mutex held, after journaling, so journal order and
+    /// publication order always agree.
     fn publish_program(&self, pools: &Pools, program: &str) {
         let entry = Self::rebuild_entry(pools, program);
         self.plane.publish(|dir| {
@@ -409,12 +386,6 @@ impl PatchPool {
         let set = self.set_for(&pools, program);
         let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
         (set, epoch)
-    }
-
-    /// The pool's event log: epoch-stamped mutation events for fleet
-    /// subscribers ([`PoolEvents::subscribe`] / [`PoolEvents::poll`]).
-    pub fn events(&self) -> &PoolEvents {
-        &self.events
     }
 
     /// Returns the per-program mutation counter (lock-free, from the
@@ -563,18 +534,9 @@ impl PatchPool {
         let added = published.len() + canaried;
         self.journal_ops(&mut pools, ops);
         if added > 0 {
-            // Journal, then plane, then events — all under the mutex:
-            // readers can never observe state the journal does not yet
-            // hold, and an event is never visible before the snapshot it
-            // announces.
+            // Journal, then plane, both under the mutex: readers can
+            // never observe state the journal does not yet hold.
             self.publish_program(&pools, program);
-            let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-            if canaried > 0 {
-                self.events.emit(program, epoch, PoolEventKind::CanaryAdmit);
-            }
-            if !published.is_empty() {
-                self.events.emit(program, epoch, PoolEventKind::Publish);
-            }
         }
         added
     }
@@ -651,8 +613,6 @@ impl PatchPool {
         pools.bump_epoch(program);
         self.journal_ops(&mut pools, ops);
         self.publish_program(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        self.events.emit(program, epoch, PoolEventKind::Revoke);
         true
     }
 
@@ -715,9 +675,6 @@ impl PatchPool {
         if !ops.is_empty() {
             self.journal_ops(&mut pools, ops);
             self.publish_program(&pools, program);
-            let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-            self.events
-                .emit(program, epoch, PoolEventKind::CanaryPromote);
         }
         promoted
     }
@@ -788,8 +745,6 @@ impl PatchPool {
         })];
         self.journal_ops(&mut pools, ops);
         self.publish_program(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        self.events.emit(program, epoch, PoolEventKind::Remove);
     }
 
     /// Canonical JSON of one program's complete pool state (patches,

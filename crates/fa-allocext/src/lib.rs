@@ -28,6 +28,8 @@
 //! | double free         | delay free + param chk | parameter check             |
 //! | uninitialized read  | zero-fill new objects  | canary-fill new objects     |
 
+#![forbid(unsafe_code)]
+
 pub mod bugtype;
 pub mod canary;
 pub mod changes;

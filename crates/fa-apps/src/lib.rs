@@ -20,6 +20,8 @@
 //! symptoms, so these miniatures exercise the diagnosis machinery exactly
 //! as the full programs would.
 
+#![forbid(unsafe_code)]
+
 pub mod apache;
 pub mod bc;
 pub mod cvs;

@@ -27,6 +27,7 @@
 //! crate's code holds no `unwrap`/`expect` outside tests.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod manager;

@@ -3,8 +3,8 @@
 //! Historically the core crate asserted its way through trial setup:
 //! a missing checkpoint, a corrupt snapshot, or a foreign allocator
 //! aborted the whole supervisor with a panic. `FaError` replaces those
-//! aborts with values the runtime can act on — a poisoned trial reports
-//! as a failed run and recovery descends the degradation ladder instead
+//! aborts with values the runtime can act on — a trial that cannot run
+//! reports as a failed run and recovery descends the degradation ladder instead
 //! of taking the process down with it.
 
 use std::fmt;
@@ -22,8 +22,6 @@ pub enum FaError {
     CheckpointCorrupt(u64),
     /// The process does not run on the First-Aid extension allocator.
     WrongAllocator,
-    /// A trial worker died (panicked or was lost) before reporting.
-    TrialPoisoned(String),
 }
 
 impl fmt::Display for FaError {
@@ -39,7 +37,6 @@ impl fmt::Display for FaError {
             FaError::WrongAllocator => {
                 write!(f, "First-Aid requires the process to run on ExtAllocator")
             }
-            FaError::TrialPoisoned(why) => write!(f, "trial worker poisoned: {why}"),
         }
     }
 }

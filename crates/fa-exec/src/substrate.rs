@@ -1,9 +1,9 @@
 //! What every trial path shares besides the replay itself: the fault
 //! gate that resolves injected flakiness, and the virtual-clock ledger.
 //!
-//! Four subsystems drive re-execution trials — the recovery path in the
-//! core runtime, the diagnosis engine, fa-sentry's fast path, and
-//! fa-fleet workers. A trial is a [`crate::TrialSpec`] replayed through
+//! Only the core crate drives re-execution trials: its diagnosis engine
+//! (including the sentry-seeded fast path), the recovery path and the
+//! Rx baseline. A trial is a [`crate::TrialSpec`] replayed through
 //! [`crate::ReplayHarness`]; everything above chooses *which* trials to
 //! run, never *how*.
 

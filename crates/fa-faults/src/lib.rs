@@ -18,6 +18,8 @@
 //! journal (`fa_wal::Wal::with_faults`) keeps a single consistent
 //! timeline.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -19,7 +19,7 @@
 use serde::Serialize;
 
 /// Splitmix64, the repo's standard seeded-shuffle generator.
-fn splitmix64_next(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

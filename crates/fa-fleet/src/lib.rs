@@ -14,24 +14,24 @@
 //!
 //! What the supervisor provides:
 //!
-//! * **Event-driven refresh** — workers subscribe to the pool's
-//!   epoch-stamped event log
-//!   ([`PoolEvents`](first_aid_core::PoolEvents)) and re-read their
-//!   patch set only when an event names their own program; the quiet
-//!   path is one atomic load and the read itself is the pool's
-//!   lock-free plane.
-//! * **Dispatch** — [`DispatchPolicy::RoundRobin`] or
-//!   [`DispatchPolicy::LeastBacklog`] (live backlog counters per worker).
+//! * **Epoch-driven refresh** — before each input a worker calls
+//!   [`refresh_patches`](first_aid_core::FirstAidRuntime::refresh_patches),
+//!   one lock-free read of its program's epoch from the pool's plane,
+//!   and re-installs its patch set only when that epoch moved.
+//! * **Dispatch** — strict rotation over bounded per-worker queues (8
+//!   inputs deep): input `i` goes to worker `i % N`, which pairs with
+//!   sharded streams.
 //! * **Sharing ablation** — [`PoolSharing::PerWorker`] gives each worker
 //!   a private pool, reproducing the no-sharing baseline where every
 //!   worker must diagnose the same bug independently.
 //! * **Crash-loop backoff** — a worker failing on consecutive inputs
-//!   charges an exponentially growing virtual pause before taking more
-//!   traffic ([`BackoffConfig`]).
+//!   charges an exponentially growing virtual pause (50 ms doubling to
+//!   a 2 s cap) before taking more traffic.
 //! * **Drop-and-restart fallback** — a worker that exhausts its recovery
-//!   budget is degraded: its process is thrown away and relaunched at
-//!   full restart cost (the paper's whole-process-restart baseline
-//!   becomes the last resort, not the first).
+//!   budget (16 recoveries) is degraded: its process is thrown away and
+//!   relaunched at full restart cost (1.5 s of virtual downtime; the
+//!   paper's whole-process-restart baseline becomes the last resort, not
+//!   the first).
 //! * **Metrics** — per-worker and fleet-wide throughput timelines on
 //!   [`ThroughputSampler`](first_aid_core::ThroughputSampler), recovery /
 //!   patch-hit / rollback counts, and *time-to-fleet-immunity*: the
@@ -74,6 +74,7 @@
 // Supervision code must not be what crashes: no `unwrap`/`expect`
 // outside tests, except at sites whose `#[allow]` says why.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod cells;
 pub mod metrics;
@@ -86,4 +87,4 @@ pub use metrics::{FleetMetrics, FleetReport, WorkerReport};
 pub use scale::{
     measure_query_latency, AppPlan, QueryLatency, ScaleConfig, ScaleFleet, ScaleOutcome,
 };
-pub use supervisor::{AppFactory, BackoffConfig, DispatchPolicy, Fleet, FleetConfig, PoolSharing};
+pub use supervisor::{AppFactory, Fleet, FleetConfig, PoolSharing};

@@ -6,11 +6,11 @@
 //! be *deterministic*:
 //!
 //! * **Real:** the patch plane. Every simulated input performs the
-//!   actual per-allocation hot path against a live [`PatchPool`] — one
-//!   event-head load (the worker's "anything new?" check) plus one
-//!   lock-free [`PatchPool::get`] and a call-site match — across real
-//!   OS threads, so aggregate inputs/sec measures the true cost of the
-//!   lock-free read side under core-count concurrency. The pool holds
+//!   actual per-input hot path against a live [`PatchPool`] — one
+//!   lock-free [`PatchPool::get_with_epoch`] (the set plus the epoch a
+//!   worker's "anything new?" check compares) and a call-site match —
+//!   across real OS threads, so aggregate inputs/sec measures the true
+//!   cost of the lock-free read side under core-count concurrency. The pool holds
 //!   real patches produced by real diagnoses (the bench's diagnosis
 //!   phase, see [`AppPlan`]).
 //! * **Deterministic:** the propagation timeline. Worker `w` runs
@@ -34,15 +34,7 @@ use fa_proc::CallSite;
 use first_aid_core::PatchPool;
 use serde::Serialize;
 
-use crate::cells::CellTopology;
-
-fn splitmix64_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::cells::{splitmix64_next, CellTopology};
 
 /// One program's contribution to the mixed-traffic profile: the real
 /// patches its diagnosis produced and what that diagnosis cost in
@@ -272,16 +264,16 @@ impl ScaleFleet {
                         } else {
                             local_fails += 1;
                         }
-                        // The real per-input hot path: event-head check
-                        // plus lock-free patch query plus site match.
+                        // The real per-input hot path: one lock-free read
+                        // of the patch set and its epoch, plus site match.
                         for _ in 0..cfg.inputs_per_worker {
-                            let head = std::hint::black_box(pool.events().appended());
-                            let set = std::hint::black_box(pool.get(&sched.program));
+                            let (set, epoch) =
+                                std::hint::black_box(pool.get_with_epoch(&sched.program));
                             let matched = sched.site.is_some_and(|site| {
                                 set.match_alloc(site).is_some() || set.match_dealloc(site).is_some()
                             });
                             local_sum = local_sum
-                                .wrapping_add(head ^ (set.len() as u64) ^ u64::from(matched));
+                                .wrapping_add(epoch ^ (set.len() as u64) ^ u64::from(matched));
                         }
                     }
                     immunity.fetch_max(local_imm, Ordering::Relaxed);

@@ -1,17 +1,31 @@
 //! The per-worker loop: one supervised process draining its job queue.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 
 use fa_exec::Backoff;
 use fa_proc::Input;
-use first_aid_core::{EventPoll, FirstAidConfig, FirstAidRuntime, PatchPool, ThroughputSampler};
+use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, ThroughputSampler};
 
 use first_aid_core::{DegradationMetrics, SentryMetrics};
 
 use crate::metrics::WorkerReport;
-use crate::supervisor::BackoffConfig;
+
+/// Throughput sampling window (250 ms, as in Fig. 4).
+const WINDOW_NS: u64 = 250_000_000;
+
+/// Recoveries a worker may perform before it is degraded to
+/// drop-and-restart.
+const RECOVERY_BUDGET: usize = 16;
+
+/// Virtual downtime charged per drop-and-restart relaunch.
+const RESTART_COST_NS: u64 = 1_500_000_000;
+
+/// Crash-loop backoff: the first failure in a row is free (recovery
+/// itself already costs virtual time); the `k`-th consecutive failure
+/// pauses the worker for `BACKOFF_BASE_NS << (k - 2)`, capped at
+/// `BACKOFF_MAX_NS`, charged as virtual idle time.
+const BACKOFF_BASE_NS: u64 = 50_000_000;
+const BACKOFF_MAX_NS: u64 = 2_000_000_000;
 
 /// Everything a worker thread needs, moved into it at spawn.
 pub(crate) struct WorkerParams {
@@ -19,10 +33,6 @@ pub(crate) struct WorkerParams {
     pub factory: crate::supervisor::AppFactory,
     pub runtime: FirstAidConfig,
     pub pool: PatchPool,
-    pub window_ns: u64,
-    pub recovery_budget: usize,
-    pub restart_cost_ns: u64,
-    pub backoff: BackoffConfig,
 }
 
 /// Counters folded out of a runtime before it is replaced (drop-and-
@@ -59,20 +69,15 @@ fn fold(runtime: &mut FirstAidRuntime, into: &mut Folded) {
 
 /// Drains `jobs` through one supervised process until the channel closes.
 ///
-/// Patch propagation is event-driven: the worker subscribes to the
-/// pool's event log before launching (so no mutation can slip between
-/// the launch-time install and the first poll) and, per input, does one
-/// quiet-path atomic load. Only when an event names *this worker's
-/// program* (or the subscriber lagged the bounded ring) does it re-read
-/// the published patch set — a sibling program's patch traffic no
-/// longer costs this worker anything. Virtual time is kept monotone
-/// across relaunches via `wall_base`; crash-loop backoff and restart
-/// cost are charged to it as idle time.
-pub(crate) fn run(
-    params: WorkerParams,
-    jobs: Receiver<Input>,
-    backlog: Arc<AtomicUsize>,
-) -> WorkerReport {
+/// Patch propagation runs on the pool's per-program epoch: before each
+/// input the worker calls `refresh_patches`, one lock-free plane read
+/// that re-installs the published patch set only when this worker's
+/// program moved (a sibling program's patch traffic costs nothing).
+/// `launch` reads the set and its epoch in one plane read, so no
+/// publish can slip between the install and the first refresh. Virtual
+/// time is kept monotone across relaunches via `wall_base`; crash-loop
+/// backoff and restart cost are charged to it as idle time.
+pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
     // A program that cannot launch has nothing to serve: the panic ends
     // only this worker's thread, and `Fleet::run` drops it at join.
     #[allow(clippy::expect_used)]
@@ -84,15 +89,8 @@ pub(crate) fn run(
         )
         .expect("fleet worker launch")
     };
-    // Subscribe before the launch-time patch install: events published
-    // after this point are seen by the cursor, events published before
-    // it are already reflected in the state `launch` reads. Either way
-    // nothing is missed; at worst an event raced between subscribe and
-    // launch costs one redundant (cheap, lock-free) refresh.
-    let mut events = params.pool.events().subscribe();
     let mut runtime = launch();
-    let program = runtime.program().to_owned();
-    let mut sampler = ThroughputSampler::new(params.window_ns);
+    let mut sampler = ThroughputSampler::new(WINDOW_NS);
     let mut report = WorkerReport {
         worker: params.id,
         ..WorkerReport::default()
@@ -107,8 +105,8 @@ pub(crate) fn run(
     // the per-worker seed so crash-looping siblings do not resume in
     // lockstep.
     let mut crash_backoff = Backoff::seeded(
-        params.backoff.base_ns,
-        params.backoff.max_ns,
+        BACKOFF_BASE_NS,
+        BACKOFF_MAX_NS,
         0xf1ee_7bac_0ff5_eed5 ^ params.id as u64,
     );
 
@@ -119,26 +117,11 @@ pub(crate) fn run(
     }
 
     while let Ok(input) = jobs.recv() {
-        // Event-driven refresh: Quiet is one atomic load and no lock;
-        // only events for this worker's program (or a lagged ring,
-        // where dropped events force the conservative full refresh)
-        // reach `refresh_patches`.
-        let moved = match params.pool.events().poll(&mut events) {
-            EventPoll::Quiet => false,
-            EventPoll::Lagged => true,
-            EventPoll::Events(batch) => batch.iter().any(|e| e.program == program),
-        };
-        if moved && runtime.refresh_patches() && report.immunized_at_ns.is_none() {
+        if runtime.refresh_patches() && report.immunized_at_ns.is_none() {
             report.immunized_at_ns = Some(wall_base + runtime.wall_ns());
         }
         let buggy = input.buggy;
         let outcome = runtime.feed(input);
-        // Relaxed: the counter is an advisory load gauge for the
-        // dispatcher's LeastBacklog heuristic. The input itself travels
-        // through the mpsc channel, whose send/recv pair already
-        // provides the happens-before edge; no memory is published via
-        // this counter, so no Acquire/Release pairing is needed.
-        backlog.fetch_sub(1, Ordering::Relaxed);
 
         if outcome.served {
             report.served += 1;
@@ -171,9 +154,7 @@ pub(crate) fn run(
             report.immunized_at_ns = Some(wall_base + runtime.wall_ns());
         }
 
-        let budget_spent =
-            params.recovery_budget > 0 && runtime.health().recoveries >= params.recovery_budget;
-        if budget_spent || runtime.needs_restart() {
+        if runtime.health().recoveries >= RECOVERY_BUDGET || runtime.needs_restart() {
             // Degraded fallback (ladder rung 4, drop-and-restart): either
             // this process has spent its recovery budget, or its drop
             // streak shows that even the generic rung is not holding.
@@ -182,7 +163,7 @@ pub(crate) fn run(
             // stay in the pool and are re-installed at launch; revoked
             // sites stay tombstoned.
             fold(&mut runtime, &mut folded);
-            wall_base += runtime.wall_ns() + params.restart_cost_ns;
+            wall_base += runtime.wall_ns() + RESTART_COST_NS;
             bytes_base += runtime.process().bytes_delivered;
             runtime = launch();
             report.restarts += 1;

@@ -87,3 +87,100 @@ fn a_foreign_program_publish_leaves_the_installed_set_untouched() {
         "A's installed set is the same Arc"
     );
 }
+
+#[test]
+fn a_scoped_canary_and_a_journal_only_record_travel_by_epoch_alone() {
+    use fa_proc::{CallSite, SymbolTable};
+    use fa_wal::SentryOp;
+    use first_aid_core::{BugType, Patch, QuarantinePolicy, WalOp};
+
+    let site = CallSite([1, 0, 0]);
+    let patch = || Patch::new(BugType::BufferOverflow, site, &SymbolTable::new());
+    let matches_site =
+        |rt: &mut FirstAidRuntime| rt.with_ext(|ext| ext.patches().match_alloc(site).is_some());
+
+    let dir = std::env::temp_dir().join(format!("fa-fleet-epoch-only-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pool = PatchPool::journaled(&dir)
+        .expect("journal dir")
+        .with_quarantine(QuarantinePolicy {
+            quarantine_after: 1,
+            ..QuarantinePolicy::default()
+        });
+    assert_eq!(pool.add("squid", [patch()]), 1);
+
+    // Two workers run while the pool changes under them.
+    let spec = spec_by_key("squid").unwrap();
+    let launch = |worker| {
+        FirstAidRuntime::launch(
+            (spec.build)(),
+            FirstAidConfig::default(),
+            pool.for_worker(worker),
+        )
+        .expect("launch worker")
+    };
+    let (mut rt0, mut rt1) = (launch(0), launch(1));
+    assert!(matches_site(&mut rt0) && matches_site(&mut rt1));
+
+    // The site flaps once and is quarantined; worker 0 re-adds it until
+    // the pool admits it as worker 0's canary.
+    assert!(pool.revoke("squid", site));
+    assert!(pool.is_quarantined("squid", site));
+    assert!(rt0.refresh_patches() && rt1.refresh_patches());
+    assert!(!matches_site(&mut rt0) && !matches_site(&mut rt1));
+    let w0 = pool.for_worker(0);
+    let mut attempts = 0;
+    while !pool.has_canary("squid", site) {
+        w0.add("squid", [patch()]);
+        attempts += 1;
+        assert!(attempts <= 4, "the canary is admitted within the window");
+    }
+
+    // Both runtimes see the epoch move; only worker 0 installs the canary.
+    assert!(rt0.refresh_patches(), "worker 0 picks up its canary");
+    assert!(
+        rt1.refresh_patches(),
+        "the admission moves the shared epoch"
+    );
+    assert!(
+        matches_site(&mut rt0),
+        "the canary is installed on worker 0"
+    );
+    assert!(!matches_site(&mut rt1), "and not on worker 1");
+
+    // The canary is confirmed: promotion reaches worker 1 by epoch.
+    assert_eq!(w0.confirm_canary("squid"), 1);
+    assert!(
+        rt1.refresh_patches(),
+        "the promotion propagates to worker 1"
+    );
+    assert!(
+        matches_site(&mut rt1),
+        "worker 1 now runs the promoted patch"
+    );
+    assert!(rt0.refresh_patches());
+    assert!(matches_site(&mut rt0));
+
+    // A journal-only record moves no epoch, so no runtime refreshes.
+    let epoch = pool.epoch("squid");
+    let appends = pool.journal().expect("journaled pool").appends();
+    pool.journal_append(WalOp::SentrySuppress(SentryOp {
+        program: "squid".to_owned(),
+        sites: vec![site],
+        all: false,
+    }));
+    assert_eq!(
+        pool.journal().expect("journaled pool").appends(),
+        appends + 1,
+        "the record is journaled"
+    );
+    assert_eq!(
+        (w0.epoch("squid"), pool.for_worker(1).epoch("squid")),
+        (epoch, epoch)
+    );
+    assert!(!rt0.refresh_patches());
+    assert!(!rt1.refresh_patches());
+    assert_eq!(rt0.health().pool_epoch, epoch);
+    assert_eq!(rt1.health().pool_epoch, epoch);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -43,6 +43,8 @@
 //! heap.free(&mut mem, p).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chunk;
 pub mod error;
 pub mod heap;

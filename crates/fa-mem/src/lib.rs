@@ -54,6 +54,8 @@
 //! let _ = heap;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod fault;
 pub mod memory;

@@ -178,11 +178,6 @@ impl ProcessCtx {
         self.alloc.as_ref()
     }
 
-    /// Returns the installed allocator backend mutably.
-    pub fn alloc_mut(&mut self) -> &mut dyn AllocBackend {
-        self.alloc.as_mut()
-    }
-
     /// Borrows the allocator backend and the memory simultaneously.
     ///
     /// The diagnosis engine needs this to drive extension operations that

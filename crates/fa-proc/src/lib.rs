@@ -21,6 +21,8 @@
 //! * [`Fault`] — what the error monitors catch: memory access violations,
 //!   allocator aborts, and application assertion failures.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc_api;
 pub mod app;
 pub mod callsite;

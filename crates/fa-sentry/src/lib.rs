@@ -26,6 +26,8 @@
 //! seed, and `Clone`, so sentry state rides inside checkpoints and
 //! replays identically during diagnosis re-execution.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod metrics;
 pub mod sampler;

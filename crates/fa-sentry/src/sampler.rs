@@ -77,11 +77,6 @@ impl Sampler {
         self.suppress_all || self.suppressed.contains(&site)
     }
 
-    /// Number of suppressed sites.
-    pub fn suppressed_len(&self) -> usize {
-        self.suppressed.len()
-    }
-
     /// The currently suppressed sites, sorted (journaling supervisors
     /// record these so a recovered runtime re-suppresses exactly).
     pub fn suppressed_sites(&self) -> Vec<CallSite> {

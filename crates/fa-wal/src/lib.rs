@@ -32,6 +32,7 @@
 //! holds no `unwrap`/`expect`: every failure is counted and degrades.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod atomic;
 mod journal;

@@ -56,7 +56,10 @@ cargo run --release --offline -p fa-bench --bin crash -- --check
 # Patch-plane scale gate: lock-free reads must beat the locked baseline
 # by >=5x under contention, time-to-fleet-immunity must stay sublinear
 # from 10^2 to 10^5 workers, and the virtual-time propagation outputs
-# must match results/fleet_scale.json exactly (seeded + deterministic).
-# Single-worker throughput regressions are covered by the perf gate
-# above; this gate covers the fleet-scale query path.
+# must match results/fleet_scale.json exactly (seeded + deterministic)
+# in each of the 5 runs per scale point. The fastest of those runs must
+# keep at least 70% of the baseline's query throughput, which fails most
+# 2x per-query slowdowns and every 3x one. Single-worker throughput
+# regressions are covered by the perf gate above; this gate covers the
+# fleet-scale query path.
 cargo run --release --offline -p fa-bench --bin fleet_scale -- --check

@@ -6,6 +6,8 @@
 //! print as one `name: median ns/iter` line. No statistics beyond the
 //! median, no HTML reports.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

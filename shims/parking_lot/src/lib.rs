@@ -5,6 +5,8 @@
 //! guards that do not surface poisoning (a poisoned std lock is simply
 //! re-entered, matching parking_lot's panic-transparent behaviour).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::{self, PoisonError};
 

@@ -8,6 +8,8 @@
 //! per-test seed; failing cases panic immediately **without shrinking**
 //! (the case's RNG seed is printed so it can be replayed).
 
+#![forbid(unsafe_code)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::{Range, RangeInclusive};

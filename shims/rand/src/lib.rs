@@ -8,6 +8,8 @@
 //! builds, which the reproduction's bit-for-bit experiment claims rely
 //! on.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// A random number generator that can be seeded from a `u64`.

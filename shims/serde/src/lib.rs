@@ -8,6 +8,8 @@
 //! and parses [`Value`]s. Both ends are under our control, so the
 //! simplified data model round-trips everything the repo serializes.
 
+#![forbid(unsafe_code)]
+
 mod impls;
 pub mod value;
 

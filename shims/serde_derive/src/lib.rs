@@ -12,6 +12,8 @@
 //!
 //! Generic types and other exotica are rejected with a compile error.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize)]

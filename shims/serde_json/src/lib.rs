@@ -4,6 +4,8 @@
 //! public surface matches what this workspace uses: [`to_string`],
 //! [`to_string_pretty`], [`from_str`], [`Value`], and [`Error`].
 
+#![forbid(unsafe_code)]
+
 mod parse;
 mod print;
 

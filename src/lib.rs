@@ -26,7 +26,7 @@
 //! * [`checkpoint`] — checkpoint ring + adaptive interval controller
 //!   ([`fa_checkpoint`]),
 //! * [`exec`] — the unified trial-execution substrate: replay harness,
-//!   trial specs and substrates, pooled trial contexts ([`fa_exec`]),
+//!   trial specs, fault gate, watchdog and trial ledger ([`fa_exec`]),
 //! * [`core`] — the diagnosis engine, patch pool, validation engine, bug
 //!   reports, supervisor runtime, and the Rx/restart baselines
 //!   ([`first_aid_core`]),
@@ -70,6 +70,8 @@
 //! assert_eq!(fa.recoveries[0].patches[0].bug, BugType::BufferOverflow);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fa_allocext as allocext;
 pub use fa_apps as apps;
 pub use fa_checkpoint as checkpoint;
@@ -84,14 +86,13 @@ pub use first_aid_core as core;
 pub mod prelude {
     pub use fa_allocext::{BugType, ExtAllocator, Patch, PatchSet, PreventiveChange};
     pub use fa_fleet::{
-        CellTopology, DispatchPolicy, Fleet, FleetConfig, FleetReport, PoolSharing, ScaleConfig,
-        ScaleFleet, WorkerReport,
+        CellTopology, Fleet, FleetConfig, FleetReport, PoolSharing, ScaleConfig, ScaleFleet,
+        WorkerReport,
     };
     pub use fa_mem::{Addr, SimMemory};
     pub use fa_proc::{App, BoxedApp, Fault, Input, InputBuilder, Process, ProcessCtx, Response};
     pub use first_aid_core::{
-        BugReport, EventCursor, EventPoll, FirstAidConfig, FirstAidRuntime, PatchPool, PoolEvent,
-        PoolEventKind, PoolEvents, QuarantinePolicy, RestartRuntime, RxRuntime, SentryConfig,
-        SentryMetrics, TrapKind, TrapRecord,
+        BugReport, FirstAidConfig, FirstAidRuntime, PatchPool, QuarantinePolicy, RestartRuntime,
+        RxRuntime, SentryConfig, SentryMetrics, TrapKind, TrapRecord,
     };
 }
