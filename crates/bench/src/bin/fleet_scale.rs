@@ -1,11 +1,13 @@
-//! Fleet-scale benchmark for the lock-free patch plane. Writes
+//! Fleet-scale benchmark for the patch pool's per-input path. Writes
 //! `results/fleet_scale.json`.
 //!
 //! `--check` is the CI regression gate: it re-runs the measurements,
 //! compares the deterministic virtual-time quantities (immunity,
 //! hits/failures, checksum) *exactly* against the committed baseline,
-//! enforces the ≥5× lock-free query speedup and sublinear
-//! time-to-fleet-immunity absolutely, and exits nonzero on any
+//! enforces the ≥5× quiet-path query speedup and sublinear
+//! time-to-fleet-immunity absolutely, holds the signal path's throughput
+//! relative to the same run's unchecked reference to 70% of the
+//! baseline's, and exits nonzero on any
 //! violation (or on a baseline that exists but does not parse) without
 //! touching the baseline. In either mode, repetitions of one scale
 //! point that disagree on a deterministic field exit nonzero, so such a

@@ -1,4 +1,4 @@
-//! Fleet scale benchmark: the lock-free patch plane at 10²–10⁵ workers.
+//! Fleet scale benchmark: the patch pool's per-input path at 10²–10⁵ workers.
 //!
 //! Three measurements, one report (`results/fleet_scale.json`):
 //!
@@ -10,13 +10,17 @@
 //!    and 10⁵ workers on the mixed 9-app traffic profile, each run
 //!    [`REPEATS`] times in one process. Virtual-time outputs
 //!    (time-to-fleet-immunity, patch hits, failures, checksum) are
-//!    deterministic: every repetition must agree, and they are gated
-//!    *exactly*. Wall-clock throughput of the real threaded query phase
-//!    is the fastest repetition's, gated with slack.
-//! 3. **Query latency** — the retired locked read (`get_locked`:
-//!    mutex + full `PatchSet` clone) vs the lock-free plane (`get`)
-//!    under multi-threaded contention; the `--check` gate requires the
-//!    lock-free path to be ≥ [`SPEEDUP_GATE`]× faster.
+//!    deterministic: every run must agree, and they are gated *exactly*.
+//!    Each run serves every block of 8 workers twice, with and without
+//!    the per-input pool check, so the gated throughput figure is the
+//!    signal path's as a fraction of that same-process reference
+//!    ([`ScalePoint::vs_unchecked`]), and the machine's speed at the time
+//!    cancels out.
+//! 3. **Query latency** — a locked read (`get_with_epoch`: the pool
+//!    mutex, a lookup and an `Arc` clone) vs a worker's quiet path
+//!    (`EpochSignal::moved`, the check `refresh_patches` makes) under
+//!    multi-threaded contention; the `--check` gate requires the quiet
+//!    path to be ≥ [`SPEEDUP_GATE`]× faster.
 //!
 //! The sublinearity gate: from one scale point to the next (10× the
 //! workers), time-to-fleet-immunity may grow by at most √10× — gossip
@@ -34,24 +38,24 @@ use crate::paper_config;
 /// Fleet sizes measured (the acceptance range 10²–10⁵).
 pub const SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
 
-/// Required lock-free speedup over the locked baseline.
+/// Required quiet-path speedup over the locked oracle read.
 pub const SPEEDUP_GATE: f64 = 5.0;
 
 /// Per-step immunity growth cap for 10× workers (√10).
 pub const SUBLINEAR_FACTOR: f64 = 3.163;
 
-/// Wall-clock throughput may drop to this fraction of the committed
-/// baseline before the gate fires. Both sides are the fastest of
-/// [`REPEATS`] runs. On a shared 2-vCPU machine the slowest unchanged
-/// runs read 0.78 of the committed baseline, while a 2× per-query
-/// slowdown mostly reads below 0.7 and a 3× one always does. The ratio
-/// depends on how fast the machine was when the baseline was written, so
-/// re-check it whenever the baseline is regenerated.
+/// The signal path's throughput, as a fraction of the unchecked
+/// reference measured in the same run ([`ScalePoint::vs_unchecked`]),
+/// may drop to this fraction of the committed baseline's before the gate
+/// fires. On a shared 2-vCPU machine unchanged runs read 0.95–0.99
+/// against a baseline of 0.97–0.98, and a build that makes a locked
+/// `get_with_epoch` per input reads 0.13–0.45.
 pub const THROUGHPUT_SLACK: f64 = 0.7;
 
-/// Runs of each scale point; the fastest query phase is reported. The
-/// first run of a point pays thread start-up and cold caches, so a
-/// single run's throughput says more about the machine than the code.
+/// Runs of each scale point; the fastest query phase is reported, and
+/// the median of the runs' [`ScalePoint::vs_unchecked`]. The first run
+/// of a point pays cold caches, so a single run's throughput says more
+/// about the machine than the code.
 pub const REPEATS: usize = 5;
 
 /// One application's diagnosis-phase result.
@@ -71,7 +75,7 @@ pub struct ScalePoint {
     pub workers: usize,
     pub cells: usize,
     pub gossip_rounds: u32,
-    /// Simulated inputs = real hot-path queries performed.
+    /// Simulated inputs = real per-input pool checks performed.
     pub inputs: u64,
     /// Deterministic virtual time-to-fleet-immunity.
     pub immunity_ns: u64,
@@ -83,10 +87,17 @@ pub struct ScalePoint {
     pub failures: u64,
     /// Deterministic digest of every query result.
     pub checksum: u64,
-    /// Wall-clock of the threaded query phase, milliseconds.
+    /// Wall-clock of the threaded query phase on the signal path,
+    /// milliseconds.
     pub elapsed_ms: f64,
-    /// Real aggregate throughput of the query phase.
+    /// Real aggregate throughput of the signal path.
     pub inputs_per_sec: f64,
+    /// The same run's throughput without the per-input pool check.
+    pub unchecked_inputs_per_sec: f64,
+    /// Signal-path throughput as a fraction of the unchecked reference:
+    /// the median of the runs' `ScaleOutcome::vs_unchecked`, and the
+    /// figure the throughput gate compares.
+    pub vs_unchecked: f64,
 }
 
 impl ScalePoint {
@@ -103,6 +114,8 @@ impl ScalePoint {
             checksum: o.checksum,
             elapsed_ms: o.elapsed_ns as f64 / 1e6,
             inputs_per_sec: o.inputs_per_sec,
+            unchecked_inputs_per_sec: o.unchecked_inputs_per_sec,
+            vs_unchecked: o.vs_unchecked,
         }
     }
 
@@ -122,7 +135,7 @@ impl ScalePoint {
     }
 }
 
-/// Locked-vs-lock-free query latency under contention.
+/// Locked-read vs quiet-path query latency under contention.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LatencyPoint {
     pub threads: usize,
@@ -174,12 +187,13 @@ fn scale_config(workers: usize) -> ScaleConfig {
     }
 }
 
-/// Runs `fleet` [`REPEATS`] times and keeps the fastest run. Appends a
-/// violation to `drift` for each run whose deterministic fields differ
-/// from the first run's.
+/// Runs `fleet` [`REPEATS`] times and keeps the fastest run, with the
+/// median of the runs' `vs_unchecked`. Appends a violation to `drift`
+/// for each run whose deterministic fields differ from the first run's.
 fn fastest_of_repeats(fleet: &ScaleFleet, drift: &mut Vec<String>) -> ScalePoint {
     let mut best = ScalePoint::from_outcome(fleet.run());
     let first = best.deterministic();
+    let mut ratios = vec![best.vs_unchecked];
     for _ in 1..REPEATS {
         let point = ScalePoint::from_outcome(fleet.run());
         if point.deterministic() != first {
@@ -189,10 +203,13 @@ fn fastest_of_repeats(fleet: &ScaleFleet, drift: &mut Vec<String>) -> ScalePoint
                 point.deterministic()
             ));
         }
+        ratios.push(point.vs_unchecked);
         if point.inputs_per_sec > best.inputs_per_sec {
             best = point;
         }
     }
+    ratios.sort_by(f64::total_cmp);
+    best.vs_unchecked = ratios[ratios.len() / 2];
     best
 }
 
@@ -244,8 +261,8 @@ pub fn measure(check: bool) -> (FleetScaleReport, Vec<String>) {
 /// Paper-style text rendering.
 pub fn render(report: &FleetScaleReport) -> String {
     let mut out = String::new();
-    out.push_str("Fleet scale: lock-free patch plane, gossip propagation\n");
-    out.push_str("=====================================================\n\n");
+    out.push_str("Fleet scale: per-input epoch signal, gossip propagation\n");
+    out.push_str("=======================================================\n\n");
     out.push_str("Diagnosis phase (real runtimes, virtual time):\n");
     for a in &report.apps {
         out.push_str(&format!(
@@ -255,16 +272,17 @@ pub fn render(report: &FleetScaleReport) -> String {
     }
     let l = &report.latency;
     out.push_str(&format!(
-        "\nPer-allocation patch query ({} threads, {} iters/thread):\n  \
-         locked {:>7.1} ns   lock-free {:>6.1} ns   speedup {:>5.1}x\n\n",
+        "\nPer-input patch query ({} threads, {} iters/thread):\n  \
+         locked {:>7.1} ns   signal {:>6.1} ns   speedup {:>5.1}x\n\n",
         l.threads, l.iters_per_thread, l.locked_ns, l.lockfree_ns, l.speedup
     ));
     out.push_str(
-        "workers     cells  rounds  immunity(ms)  publish(ms)  hits    failures  Minputs/s\n",
+        "workers     cells  rounds  immunity(ms)  publish(ms)  hits    failures  \
+         Minputs/s  unchecked  ratio\n",
     );
     for p in &report.points {
         out.push_str(&format!(
-            "{:>7}  {:>6}  {:>6}  {:>12.1}  {:>11.1}  {:>7}  {:>8}  {:>9.2}\n",
+            "{:>7}  {:>6}  {:>6}  {:>12.1}  {:>11.1}  {:>7}  {:>8}  {:>9.2}  {:>9.2}  {:>5.2}\n",
             p.workers,
             p.cells,
             p.gossip_rounds,
@@ -273,6 +291,8 @@ pub fn render(report: &FleetScaleReport) -> String {
             p.patch_hits,
             p.failures,
             p.inputs_per_sec / 1e6,
+            p.unchecked_inputs_per_sec / 1e6,
+            p.vs_unchecked,
         ));
     }
     out
@@ -280,15 +300,15 @@ pub fn render(report: &FleetScaleReport) -> String {
 
 /// The CI gate. Absolute gates (speedup, sublinearity, coverage) apply
 /// to the fresh measurement; baseline gates (determinism equality,
-/// throughput slack) additionally apply when a readable baseline
-/// exists.
+/// throughput relative to the unchecked reference) additionally apply when
+/// a readable baseline exists.
 pub fn check(baseline: Option<&FleetScaleReport>, current: &FleetScaleReport) -> Vec<String> {
     let mut violations = Vec::new();
 
     if current.latency.speedup < SPEEDUP_GATE {
         violations.push(format!(
-            "lock-free query speedup {:.1}x under the {SPEEDUP_GATE}x gate \
-             (locked {:.1} ns vs lock-free {:.1} ns)",
+            "quiet-path query speedup {:.1}x under the {SPEEDUP_GATE}x gate \
+             (locked {:.1} ns vs signal {:.1} ns)",
             current.latency.speedup, current.latency.locked_ns, current.latency.lockfree_ns
         ));
     }
@@ -328,15 +348,17 @@ pub fn check(baseline: Option<&FleetScaleReport>, current: &FleetScaleReport) ->
                 cur.workers
             ));
         }
-        // Wall-clock throughput, fastest of REPEATS runs on both sides.
-        if cur.inputs_per_sec < b.inputs_per_sec * THROUGHPUT_SLACK {
+        // Wall-clock throughput over the same run's unchecked reference.
+        if cur.vs_unchecked < b.vs_unchecked * THROUGHPUT_SLACK {
             violations.push(format!(
-                "query-phase throughput at {} workers fell to {:.2} Minputs/s \
-                 (baseline {:.2}, floor {:.0}%)",
+                "query-phase throughput at {} workers fell to {:.2} of the unchecked \
+                 reference (baseline {:.2}, floor {:.0}%; {:.2} vs {:.2} Minputs/s)",
                 cur.workers,
+                cur.vs_unchecked,
+                b.vs_unchecked,
+                THROUGHPUT_SLACK * 100.0,
                 cur.inputs_per_sec / 1e6,
-                b.inputs_per_sec / 1e6,
-                THROUGHPUT_SLACK * 100.0
+                cur.unchecked_inputs_per_sec / 1e6,
             ));
         }
     }

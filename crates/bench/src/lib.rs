@@ -18,7 +18,7 @@
 //! | [`faults`] | Fault injection — pipeline-stage failures and the degradation ladder |
 //! | [`perf`]   | Wall-clock throughput, snapshot/restore, TLB and diagnosis-latency regression gate |
 //! | [`crash`]  | Crash-safe supervision — journal recovery cost vs a cold fleet start |
-//! | [`fleet_scale`] | 10²–10⁵ workers — lock-free patch plane, gossip propagation gates |
+//! | [`fleet_scale`] | 10²–10⁵ workers — per-input epoch signal, gossip propagation gates |
 //!
 //! [`gate`] holds what the binaries share: baseline loading for the
 //! `--check` gates and writing reports to `results/`.

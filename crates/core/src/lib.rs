@@ -58,9 +58,9 @@
 // Supervision code must not be what crashes: no `unwrap`/`expect`
 // outside tests, except at sites whose `#[allow]` says why.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-// The patch pool's lock-free read plane is the one module allowed
-// `unsafe` (see `patchpool::plane`); everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub mod baselines;
 pub mod diagnose;
@@ -77,7 +77,7 @@ pub use diagnose::{
     EngineConfig,
 };
 pub use metrics::{DegradationMetrics, ThroughputSampler};
-pub use patchpool::{PatchPool, QuarantinePolicy};
+pub use patchpool::{EpochSignal, PatchPool, QuarantinePolicy};
 pub use report::BugReport;
 pub use runtime::{
     FeedOutcome, FirstAidConfig, FirstAidRuntime, RecoveryKind, RecoveryRecord, RunSummary,
@@ -104,3 +104,10 @@ pub use fa_faults::{FaultPlan, FaultPlanBuilder, FaultStage, Injection, KillPoin
 // Re-export the supervision journal so fleet supervisors and benches can
 // arm kill points and replay records without depending on fa-wal directly.
 pub use fa_wal::{parse_prefix, truncate_to_records, Wal, WalOp, WalRecord};
+
+/// Locks `mutex`, ignoring poison: a thread that panicked while holding
+/// the pool or the log sink must not turn every later lock of it into a
+/// second panic.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

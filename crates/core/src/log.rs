@@ -8,13 +8,12 @@
 //! stderr (default) or capture into a buffer that tests drain via
 //! [`capture`] / [`Capture::drain`].
 //!
-//! The sink lock is a `parking_lot` mutex: panic-transparent, so a
-//! worker thread that dies mid-trial cannot poison the sink and turn
-//! every later diagnostic into a second panic.
+//! The sink lock ignores poisoning: a panicking trial thread must not
+//! poison the sink and turn every later diagnostic into a second panic.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Where diagnostics go.
 enum Sink {
@@ -38,12 +37,12 @@ impl Capture {
 
     /// Takes all captured lines, leaving the buffer empty.
     pub fn drain(&self) -> Vec<String> {
-        std::mem::take(&mut self.lines.lock())
+        std::mem::take(&mut lock(&self.lines))
     }
 
     /// Returns the number of captured lines.
     pub fn len(&self) -> usize {
-        self.lines.lock().len()
+        lock(&self.lines).len()
     }
 
     /// Returns `true` if nothing has been captured.
@@ -52,25 +51,22 @@ impl Capture {
     }
 }
 
-fn sink() -> &'static Mutex<Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Sink::Stderr))
-}
+static SINK: Mutex<Sink> = Mutex::new(Sink::Stderr);
 
 /// Emits one diagnostic line (no trailing newline needed).
 pub fn warn(line: impl AsRef<str>) {
     let line = line.as_ref();
-    match &*sink().lock() {
+    match &*lock(&SINK) {
         Sink::Stderr => eprintln!("first-aid: {line}"),
         Sink::Capture(capture) => {
-            capture.lines.lock().push(line.to_owned());
+            lock(&capture.lines).push(line.to_owned());
         }
     }
 }
 
 /// Routes diagnostics to stderr (the default).
 pub fn use_stderr() {
-    *sink().lock() = Sink::Stderr;
+    *lock(&SINK) = Sink::Stderr;
 }
 
 /// Routes diagnostics into a fresh capture buffer and returns it.
@@ -79,7 +75,7 @@ pub fn use_stderr() {
 /// [`use_stderr`] when done (see [`captured`] for a scoped helper).
 pub fn capture() -> Capture {
     let cap = Capture::new();
-    *sink().lock() = Sink::Capture(cap.clone());
+    *lock(&SINK) = Sink::Capture(cap.clone());
     cap
 }
 
@@ -91,7 +87,7 @@ pub fn capture() -> Capture {
 /// other threads emit meanwhile still land in the buffer.
 pub fn captured<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _turn = ONE_AT_A_TIME.lock();
+    let _turn = lock(&ONE_AT_A_TIME);
     let cap = capture();
     let result = f();
     let lines = cap.drain();

@@ -7,24 +7,24 @@
 //! ([`PatchPool::journaled`]) so subsequent runs and *other processes of
 //! the same program* start protected.
 //!
-//! The pool is split into two planes:
-//!
-//! * **Writer plane** (this module): every mutation — publish, revoke,
-//!   canary traffic, journal replay — runs under one mutex, where the
-//!   quarantine gate, tombstones and journaling live. Before releasing
-//!   the mutex the writer rebuilds the affected program's snapshot and
-//!   publishes it to the read plane with one atomic pointer swap.
-//! * **Read plane** ([`plane`]): the allocation fast path. [`PatchPool::get`]
-//!   is one `Acquire` pointer load, one hash lookup and one `Arc`
-//!   clone — zero locks, zero `PatchSet` clones, and pointer-stable
-//!   across same-epoch reads. The pre-RCU locked read survives as
-//!   [`PatchPool::get_locked`], the benchmark baseline and stress-test
-//!   oracle.
+//! Every read and every mutation runs under one mutex. Mutations —
+//! publish, revoke, canary traffic, journal replay — are where the
+//! quarantine gate, tombstones and journaling live; before releasing the
+//! mutex the writer bumps the affected program's epoch and rebuilds its
+//! published entry (a handle to that epoch counter, `Arc<PatchSet>`,
+//! per-worker canary overlays). A read
+//! ([`PatchPool::get`], [`PatchPool::get_with_epoch`]) is one locked
+//! lookup of that entry plus an `Arc` clone: no `PatchSet` is built, and
+//! same-epoch reads are pointer-equal. [`PatchPool::get_locked_with_epoch`]
+//! rebuilds the set from the writer-side state instead; it is the
+//! oracle the published entries are checked against.
 //!
 //! For fleet operation the pool carries one change signal: the
-//! per-program [`PatchPool::epoch`], read lock-free from the plane. A
-//! worker compares it before each input and re-reads its patch set only
-//! when its own program moved.
+//! per-program epoch, an atomic counter bumped only under the mutex.
+//! [`PatchPool::epoch_signal`] hands out a read-only [`EpochSignal`]
+//! over that counter, so a worker's quiet path before each input is one
+//! atomic load ([`EpochSignal::moved`]); only a moved epoch leads to a
+//! locked re-read of the set.
 //!
 //! Two crash-safety layers sit underneath:
 //!
@@ -44,9 +44,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use fa_allocext::{Patch, PatchSet};
 use fa_proc::CallSite;
@@ -55,14 +54,7 @@ use fa_wal::{
     Wal, WalOp, WalRecord,
 };
 
-use crate::log;
-
-// The plane's raw-pointer swap is sound by the retire-until-drop
-// reclamation argument in `plane.rs`'s module docs.
-#[allow(unsafe_code)]
-mod plane;
-
-use plane::{PlaneEntry, ReadPlane};
+use crate::{lock, log};
 
 /// When a call-site's patches may flap back in after revocation.
 ///
@@ -123,10 +115,54 @@ enum Gate {
     Refuse,
 }
 
+/// One program's published view: its epoch counter, the fleet-wide
+/// patch set and per-worker canary overlays (base set + canary patches,
+/// merged at publish time so a scoped read builds nothing either).
+struct Published {
+    /// The program's counter from `epoch_by_program` (the same `Arc`,
+    /// not a copy), so a read finds set and epoch in one lookup.
+    epoch: Arc<AtomicU64>,
+    set: Arc<PatchSet>,
+    /// Worker id -> merged (fleet + canary) set, for workers with an
+    /// in-flight canary. Empty for almost every publish.
+    scoped: HashMap<u64, Arc<PatchSet>>,
+}
+
+/// A read-only view of one program's pool epoch.
+///
+/// It shares the pool's own counter for the program, which is created
+/// once per name, never replaced, and bumped only under the pool mutex,
+/// so a holder sees each publish without taking the lock. The value is
+/// only a hint that the set moved: re-read it with
+/// [`PatchPool::get_with_epoch`], which returns the set and the epoch it
+/// belongs to from one locked read.
+#[derive(Clone, Debug)]
+pub struct EpochSignal(Arc<AtomicU64>);
+
+impl EpochSignal {
+    /// The program's epoch as of the latest publish (0 before any).
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Whether the program's epoch differs from `seen`, the epoch of the
+    /// set the caller holds: one atomic load, no lock. This is the quiet
+    /// path a runtime takes before each input.
+    #[inline]
+    pub fn moved(&self, seen: u64) -> bool {
+        self.get() != seen
+    }
+}
+
 #[derive(Default)]
 struct Pools {
     by_program: HashMap<String, Vec<Patch>>,
-    epoch_by_program: HashMap<String, u64>,
+    /// The one per-program epoch store. Bumped only under the pool
+    /// mutex; [`EpochSignal`]s share these counters, so an entry is
+    /// never removed or replaced once created. `Relaxed` is enough: a
+    /// counter publishes no data, and a reader that sees it move reads
+    /// the set under the mutex, which orders that read after the publish.
+    epoch_by_program: HashMap<String, Arc<AtomicU64>>,
     /// Call-sites whose patches the health monitor revoked as
     /// ineffective. Tombstones: `add` refuses to re-admit patches at
     /// these sites, so a revoked patch can never re-propagate through
@@ -136,6 +172,12 @@ struct Pools {
     /// Flap bookkeeping per revoked site, populated only when a
     /// quarantine policy is active (or replayed from a journal).
     quarantine_by_program: HashMap<String, HashMap<CallSite, SiteState>>,
+    /// What readers get: rebuilt for a program on each of its effective
+    /// mutations, and for every program after journal replay.
+    published: HashMap<String, Published>,
+    /// Shared empty set handed to readers of unknown programs, so the
+    /// miss path builds nothing.
+    empty: Arc<PatchSet>,
     /// Replay watermark: highest journal sequence number applied, so
     /// recovery is idempotent (replay twice == replay once).
     last_seq: u64,
@@ -144,8 +186,39 @@ struct Pools {
 }
 
 impl Pools {
+    /// `program`'s epoch counter, created at 0 on first use.
+    fn epoch_cell(&mut self, program: &str) -> &Arc<AtomicU64> {
+        self.epoch_by_program.entry(program.to_owned()).or_default()
+    }
+
     fn bump_epoch(&mut self, program: &str) {
-        *self.epoch_by_program.entry(program.to_owned()).or_insert(0) += 1;
+        self.epoch_cell(program).fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn epoch(&self, program: &str) -> u64 {
+        self.epoch_by_program
+            .get(program)
+            .map_or(0, |e| e.load(Ordering::Relaxed))
+    }
+
+    /// Every program with pool state, sorted. A counter still at 0 (a
+    /// signal handed out for a program never mutated) is not state.
+    fn programs(&self) -> Vec<&String> {
+        let mut programs: Vec<&String> = self
+            .by_program
+            .keys()
+            .chain(
+                self.epoch_by_program
+                    .iter()
+                    .filter(|(_, e)| e.load(Ordering::Relaxed) > 0)
+                    .map(|(p, _)| p),
+            )
+            .chain(self.revoked_by_program.keys())
+            .chain(self.quarantine_by_program.keys())
+            .collect();
+        programs.sort();
+        programs.dedup();
+        programs
     }
 }
 
@@ -159,10 +232,6 @@ impl Pools {
 #[derive(Clone)]
 pub struct PatchPool {
     inner: Arc<Mutex<Pools>>,
-    /// Lock-free read side: the published snapshot directory served to
-    /// the allocation fast path. Rebuilt (for the affected program) and
-    /// swapped under `inner`'s mutex on every effective mutation.
-    plane: Arc<ReadPlane>,
     /// The supervision journal, if this pool is crash-safe.
     journal: Option<Wal>,
     /// Worker scope of this clone: which canaries it sees.
@@ -174,7 +243,6 @@ impl PatchPool {
     pub fn in_memory() -> PatchPool {
         PatchPool {
             inner: Arc::new(Mutex::new(Pools::default())),
-            plane: Arc::new(ReadPlane::new()),
             journal: None,
             scope: None,
         }
@@ -206,7 +274,7 @@ impl PatchPool {
 
     /// Enables the flap quarantine with `policy` (shared by all clones).
     pub fn enable_quarantine(&self, policy: QuarantinePolicy) {
-        self.inner.lock().policy = Some(policy);
+        lock(&self.inner).policy = Some(policy);
     }
 
     /// Builder form of [`PatchPool::enable_quarantine`].
@@ -241,7 +309,7 @@ impl PatchPool {
         if self.journal.is_none() {
             return;
         }
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         self.journal_ops(&mut pools, vec![op]);
     }
 
@@ -252,7 +320,7 @@ impl PatchPool {
     pub fn recover_from_journal(&self) -> usize {
         let Some(wal) = &self.journal else { return 0 };
         let records = wal.replay();
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         let mut applied = 0usize;
         for record in &records {
             if Self::apply_record(&mut pools, record) {
@@ -260,9 +328,9 @@ impl PatchPool {
             }
         }
         if applied > 0 {
-            // Replay bypassed the per-mutation publishes: rebuild the
-            // whole plane once.
-            self.republish_all(&pools);
+            // Replay bypassed the per-mutation publishes: rebuild every
+            // published entry once.
+            Self::republish_all(&mut pools);
         }
         applied
     }
@@ -287,11 +355,10 @@ impl PatchPool {
         PatchSet::from_patches(patches)
     }
 
-    /// Builds one program's publishable plane entry from the writer
-    /// state: epoch, fleet set, and merged base+canary overlays for
-    /// each worker with an in-flight canary (merged at publish time so
-    /// scoped readers stay zero-cost).
-    fn rebuild_entry(pools: &Pools, program: &str) -> PlaneEntry {
+    /// Builds one program's published entry from the writer state: fleet
+    /// set, and merged base+canary overlays for each worker with an
+    /// in-flight canary.
+    fn rebuild_entry(pools: &Pools, program: &str, epoch: Arc<AtomicU64>) -> Published {
         let base: Vec<Patch> = pools.by_program.get(program).cloned().unwrap_or_default();
         let mut scoped: HashMap<u64, Arc<PatchSet>> = HashMap::new();
         if let Some(sites) = pools.quarantine_by_program.get(program) {
@@ -310,96 +377,95 @@ impl PatchPool {
                 scoped.insert(worker, Arc::new(PatchSet::from_patches(merged)));
             }
         }
-        PlaneEntry {
-            epoch: pools.epoch_by_program.get(program).copied().unwrap_or(0),
+        Published {
+            epoch,
             set: Arc::new(PatchSet::from_patches(base)),
             scoped,
         }
     }
 
-    /// Publishes `program`'s current state to the read plane. Called
-    /// with the pool mutex held, after journaling, so journal order and
-    /// publication order always agree.
-    fn publish_program(&self, pools: &Pools, program: &str) {
-        let entry = Self::rebuild_entry(pools, program);
-        self.plane.publish(|dir| {
-            dir.insert(program.to_owned(), entry);
-        });
+    /// Rebuilds `program`'s published entry. Called with the pool mutex
+    /// held, after journaling, so locked readers can never observe state
+    /// the journal does not yet hold.
+    fn publish_program(pools: &mut Pools, program: &str) {
+        let epoch = Arc::clone(pools.epoch_cell(program));
+        let entry = Self::rebuild_entry(pools, program, epoch);
+        pools.published.insert(program.to_owned(), entry);
     }
 
-    /// Rebuilds the whole plane from the writer state (initial load,
-    /// journal replay). Called with the pool mutex held.
-    fn republish_all(&self, pools: &Pools) {
-        let mut programs: Vec<&String> = pools
-            .by_program
-            .keys()
-            .chain(pools.epoch_by_program.keys())
-            .chain(pools.revoked_by_program.keys())
-            .chain(pools.quarantine_by_program.keys())
-            .collect();
-        programs.sort();
-        programs.dedup();
-        let mut entries: Vec<(String, PlaneEntry)> = programs
-            .into_iter()
-            .map(|p| (p.clone(), Self::rebuild_entry(pools, p)))
-            .collect();
-        self.plane.publish(|dir| {
-            dir.clear();
-            for (program, entry) in entries.drain(..) {
-                dir.insert(program, entry);
-            }
-        });
+    /// Rebuilds every published entry from the writer state (journal
+    /// replay). Called with the pool mutex held.
+    fn republish_all(pools: &mut Pools) {
+        let programs: Vec<String> = pools.programs().into_iter().cloned().collect();
+        pools.published.clear();
+        for program in programs {
+            Self::publish_program(pools, &program);
+        }
     }
 
     /// Returns the published patch set for a program (shared empty set
     /// if none). A worker-scoped clone also sees its own canaries.
     ///
-    /// This is the allocation fast path: one `Acquire` pointer load,
-    /// one hash lookup, one `Arc` clone. No locks, no `PatchSet`
-    /// construction — repeated same-epoch calls return the identical
-    /// `Arc` (pointer-equal).
+    /// One locked lookup and one `Arc` clone: no `PatchSet` is built,
+    /// and repeated same-epoch calls return the identical `Arc`
+    /// (pointer-equal).
     pub fn get(&self, program: &str) -> Arc<PatchSet> {
-        self.plane.get(program, self.scope).0
+        self.get_with_epoch(program).0
     }
 
-    /// Returns the published patch set and its epoch in one atomic
-    /// snapshot read, so a reader can never observe a set newer than
-    /// its epoch. Lock-free, like [`PatchPool::get`].
+    /// Returns the published patch set and its epoch from one locked
+    /// read, so the epoch always names the set returned with it.
     pub fn get_with_epoch(&self, program: &str) -> (Arc<PatchSet>, u64) {
-        self.plane.get(program, self.scope)
+        let pools = lock(&self.inner);
+        match pools.published.get(program) {
+            Some(entry) => {
+                let set = self
+                    .scope
+                    .and_then(|w| entry.scoped.get(&w))
+                    .unwrap_or(&entry.set);
+                (Arc::clone(set), entry.epoch.load(Ordering::Relaxed))
+            }
+            // Every epoch bump publishes its program's entry before the
+            // lock drops, so a program without one is still at epoch 0.
+            None => (Arc::clone(&pools.empty), 0),
+        }
     }
 
-    /// The pre-RCU read path: take the pool mutex, build a fresh
-    /// `PatchSet` from the writer-side state. Kept as the benchmark
-    /// baseline (`fleet_scale` measures it against [`PatchPool::get`])
-    /// and as the stress-test oracle the lock-free plane is checked
-    /// against — the two must always agree.
-    pub fn get_locked(&self, program: &str) -> PatchSet {
-        let pools = self.inner.lock();
-        self.set_for(&pools, program)
-    }
-
-    /// Locked read of the set and epoch in one mutex hold; oracle
-    /// counterpart of [`PatchPool::get_with_epoch`].
+    /// Locked read that rebuilds the set from the writer-side state
+    /// instead of handing out the published one. It is the oracle the
+    /// published entries are checked against.
     pub fn get_locked_with_epoch(&self, program: &str) -> (PatchSet, u64) {
-        let pools = self.inner.lock();
-        let set = self.set_for(&pools, program);
-        let epoch = pools.epoch_by_program.get(program).copied().unwrap_or(0);
-        (set, epoch)
+        let pools = lock(&self.inner);
+        (self.set_for(&pools, program), pools.epoch(program))
     }
 
-    /// Returns the per-program mutation counter (lock-free, from the
-    /// published plane). This is the pool's change signal: a reader that
-    /// observes a new epoch finds the matching (or a newer) snapshot on
-    /// its next [`PatchPool::get`], because both come from one plane.
+    /// Returns the per-program mutation counter (0 for an unknown
+    /// program). One locked lookup; a worker that polls the epoch per
+    /// input holds an [`EpochSignal`] instead.
     pub fn epoch(&self, program: &str) -> u64 {
-        self.plane.epoch(program)
+        lock(&self.inner).epoch(program)
+    }
+
+    /// Hands out `program`'s [`EpochSignal`]: a read-only view of the
+    /// pool's own epoch counter for the program, so every later publish
+    /// moves it.
+    pub fn epoch_signal(&self, program: &str) -> EpochSignal {
+        EpochSignal(Arc::clone(lock(&self.inner).epoch_cell(program)))
+    }
+
+    /// Holds the pool mutex until the returned guard drops.
+    #[cfg(test)]
+    pub(crate) fn hold_lock(&self) -> impl Sized + '_ {
+        lock(&self.inner)
     }
 
     /// Returns the number of patches stored for a program (canaries
-    /// excluded — they are not fleet state yet). Lock-free.
+    /// excluded — they are not fleet state yet).
     pub fn len(&self, program: &str) -> usize {
-        self.plane.len(program)
+        lock(&self.inner)
+            .published
+            .get(program)
+            .map_or(0, |e| e.set.len())
     }
 
     /// Returns `true` if no patches are stored for the program.
@@ -415,7 +481,7 @@ impl PatchPool {
     /// worker. Returns how many patches were actually admitted
     /// (canaries included).
     pub fn add(&self, program: &str, patches: impl IntoIterator<Item = Patch>) -> usize {
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         let mut ops: Vec<WalOp> = Vec::new();
         let mut published: Vec<Patch> = Vec::new();
         let mut canaried = 0usize;
@@ -534,9 +600,9 @@ impl PatchPool {
         let added = published.len() + canaried;
         self.journal_ops(&mut pools, ops);
         if added > 0 {
-            // Journal, then plane, both under the mutex: readers can
+            // Journal, then publish, both under the mutex: readers can
             // never observe state the journal does not yet hold.
-            self.publish_program(&pools, program);
+            Self::publish_program(&mut pools, program);
         }
         added
     }
@@ -551,7 +617,7 @@ impl PatchPool {
     /// is cancelled and counts as a failed trial). Returns `false` if
     /// the site was already revoked and held no patches.
     pub fn revoke(&self, program: &str, site: CallSite) -> bool {
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         let newly_tombstoned = pools
             .revoked_by_program
             .entry(program.to_owned())
@@ -612,7 +678,7 @@ impl PatchPool {
         }));
         pools.bump_epoch(program);
         self.journal_ops(&mut pools, ops);
-        self.publish_program(&pools, program);
+        Self::publish_program(&mut pools, program);
         true
     }
 
@@ -623,7 +689,7 @@ impl PatchPool {
     /// the number of patches promoted fleet-wide.
     pub fn confirm_canary(&self, program: &str) -> usize {
         let Some(worker) = self.scope else { return 0 };
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         let sites: Vec<CallSite> = pools
             .quarantine_by_program
             .get(program)
@@ -674,15 +740,14 @@ impl PatchPool {
         }
         if !ops.is_empty() {
             self.journal_ops(&mut pools, ops);
-            self.publish_program(&pools, program);
+            Self::publish_program(&mut pools, program);
         }
         promoted
     }
 
     /// Returns `true` if patches at `site` have been revoked.
     pub fn is_revoked(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .revoked_by_program
             .get(program)
             .is_some_and(|s| s.contains(&site))
@@ -690,8 +755,7 @@ impl PatchPool {
 
     /// Number of revoked (tombstoned) call-sites for a program.
     pub fn revoked_count(&self, program: &str) -> usize {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .revoked_by_program
             .get(program)
             .map_or(0, HashSet::len)
@@ -699,8 +763,7 @@ impl PatchPool {
 
     /// Returns `true` if `site` is quarantined (canary-only re-admission).
     pub fn is_quarantined(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .quarantine_by_program
             .get(program)
             .and_then(|m| m.get(&site))
@@ -709,8 +772,7 @@ impl PatchPool {
 
     /// Fleet-wide flap count of `site` (revocations under the policy).
     pub fn flap_count(&self, program: &str, site: CallSite) -> u32 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .quarantine_by_program
             .get(program)
             .and_then(|m| m.get(&site))
@@ -719,8 +781,7 @@ impl PatchPool {
 
     /// Returns `true` if a canary for `site` is in flight.
     pub fn has_canary(&self, program: &str, site: CallSite) -> bool {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .quarantine_by_program
             .get(program)
             .and_then(|m| m.get(&site))
@@ -729,7 +790,7 @@ impl PatchPool {
 
     /// Removes all patches at the given call-site (validation failure).
     pub fn remove_site(&self, program: &str, site: fa_proc::CallSite) {
-        let mut pools = self.inner.lock();
+        let mut pools = lock(&self.inner);
         let Some(list) = pools.by_program.get_mut(program) else {
             return;
         };
@@ -744,7 +805,7 @@ impl PatchPool {
             site,
         })];
         self.journal_ops(&mut pools, ops);
-        self.publish_program(&pools, program);
+        Self::publish_program(&mut pools, program);
     }
 
     /// Canonical JSON of one program's complete pool state (patches,
@@ -755,7 +816,7 @@ impl PatchPool {
     // serializing it cannot fail.
     #[allow(clippy::expect_used)]
     pub fn export_state(&self, program: &str) -> String {
-        let pools = self.inner.lock();
+        let pools = lock(&self.inner);
         let snap = Self::program_snapshot(&pools, program);
         serde_json::to_string(&snap).expect("pool state always serializes")
     }
@@ -798,7 +859,7 @@ impl PatchPool {
         quarantine.sort_by_key(|e| e.site);
         ProgramSnapshot {
             program: program.to_owned(),
-            epoch: pools.epoch_by_program.get(program).copied().unwrap_or(0),
+            epoch: pools.epoch(program),
             patches,
             revoked,
             quarantine,
@@ -806,17 +867,9 @@ impl PatchPool {
     }
 
     fn full_snapshot(pools: &Pools) -> PoolSnapshot {
-        let mut programs: Vec<&String> = pools
-            .by_program
-            .keys()
-            .chain(pools.epoch_by_program.keys())
-            .chain(pools.revoked_by_program.keys())
-            .chain(pools.quarantine_by_program.keys())
-            .collect();
-        programs.sort();
-        programs.dedup();
         PoolSnapshot {
-            programs: programs
+            programs: pools
+                .programs()
                 .into_iter()
                 .map(|p| Self::program_snapshot(pools, p))
                 .collect(),
@@ -956,16 +1009,20 @@ impl PatchPool {
             }
             WalOp::Snapshot(snap) => {
                 pools.by_program.clear();
-                pools.epoch_by_program.clear();
                 pools.revoked_by_program.clear();
                 pools.quarantine_by_program.clear();
+                // Reset the counters in place: signals already handed
+                // out must keep following them.
+                for epoch in pools.epoch_by_program.values() {
+                    epoch.store(0, Ordering::Relaxed);
+                }
                 for prog in &snap.programs {
                     pools
                         .by_program
                         .insert(prog.program.clone(), prog.patches.clone());
                     pools
-                        .epoch_by_program
-                        .insert(prog.program.clone(), prog.epoch);
+                        .epoch_cell(&prog.program)
+                        .store(prog.epoch, Ordering::Relaxed);
                     pools
                         .revoked_by_program
                         .insert(prog.program.clone(), prog.revoked.iter().copied().collect());
@@ -1426,11 +1483,10 @@ mod tests {
 
     #[test]
     fn same_epoch_gets_are_pointer_equal_and_allocation_free() {
-        // The hot-path churn regression: before the RCU plane, every
-        // `get` cloned the full `PatchSet` under the pool mutex. Now a
-        // repeated same-epoch query must hand back the *identical* Arc
-        // — pointer equality is the proof that no set was rebuilt and
-        // nothing was allocated on the read path.
+        // The hot-path churn regression: `get` once built a fresh
+        // `PatchSet` per call. A repeated same-epoch query must hand back
+        // the *identical* Arc — pointer equality is the proof that no set
+        // was rebuilt and nothing was allocated on the read path.
         let pool = PatchPool::in_memory();
         pool.add("apache", [patch(BugType::DanglingRead, 1)]);
 
@@ -1440,8 +1496,12 @@ mod tests {
         let (c, e1) = pool.get_with_epoch("apache");
         assert!(Arc::ptr_eq(&a, &c));
 
-        // Misses share one static empty set: even unknown programs
-        // allocate nothing.
+        // Misses share one empty set at epoch 0, through a worker-scoped
+        // view too: even unknown programs allocate nothing.
+        let (miss, miss_epoch) = pool.get_with_epoch("nope");
+        let (scoped_miss, scoped_epoch) = pool.for_worker(3).get_with_epoch("also-nope");
+        assert!(miss.is_empty() && Arc::ptr_eq(&miss, &scoped_miss));
+        assert_eq!((miss_epoch, scoped_epoch), (0, 0));
         assert!(Arc::ptr_eq(&pool.get("nope"), &pool.get("also-nope")));
 
         // A mutation of a *different* program leaves this one's Arc
@@ -1475,7 +1535,7 @@ mod tests {
             assert_eq!(fast.len(), locked.len());
             assert_eq!(fast.patches(), locked.patches());
         }
-        // The scoped view sees its canary through the plane overlay.
+        // The scoped view sees its canary through its published overlay.
         assert!(worker0
             .get("apache")
             .match_dealloc(CallSite([1, 0, 0]))
@@ -1484,5 +1544,79 @@ mod tests {
             .get("apache")
             .match_dealloc(CallSite([1, 0, 0]))
             .is_none());
+    }
+
+    #[test]
+    fn epoch_signal_follows_every_effective_mutation() {
+        use fa_wal::SentryOp;
+
+        let dir = journal_dir("signal");
+        let pool = PatchPool::journaled(&dir)
+            .unwrap()
+            .with_quarantine(QuarantinePolicy {
+                quarantine_after: 1,
+                max_window: 64,
+            });
+        let site = CallSite([1, 0, 0]);
+        let worker0 = pool.for_worker(0);
+
+        // Taken before the pool has seen the program at all.
+        let signal = pool.epoch_signal("apache");
+        assert_eq!((signal.get(), pool.epoch("apache")), (0, 0));
+
+        let mut last = 0;
+        let mut moved = |step: &str| {
+            let epoch = pool.epoch("apache");
+            assert!(epoch > last, "{step} moves the epoch");
+            assert_eq!(signal.get(), epoch, "signal agrees after {step}");
+            last = epoch;
+        };
+        pool.add(
+            "apache",
+            [
+                patch(BugType::DanglingRead, 1),
+                patch(BugType::BufferOverflow, 2),
+            ],
+        );
+        moved("first publish");
+        pool.remove_site("apache", CallSite([2, 0, 0]));
+        moved("remove_site");
+        assert!(pool.revoke("apache", site));
+        moved("revoke");
+        worker0.add("apache", [patch(BugType::DanglingRead, 1)]); // denied
+        worker0.add("apache", [patch(BugType::DanglingRead, 1)]); // canary
+        assert!(pool.has_canary("apache", site));
+        moved("canary admission");
+        assert_eq!(worker0.confirm_canary("apache"), 1);
+        moved("canary promotion");
+
+        // Records replayed from the journal reach the same signal.
+        let other = PatchPool::with_journal(pool.journal().unwrap().clone());
+        other.add("apache", [patch(BugType::BufferOverflow, 3)]);
+        assert_eq!(pool.recover_from_journal(), 1);
+        moved("journal replay");
+        // So does a compaction snapshot: replay resets the counters in
+        // place instead of replacing them.
+        pool.journal().unwrap().set_compact_every(1);
+        other.add("apache", [patch(BugType::BufferOverflow, 4)]);
+        assert_eq!(pool.recover_from_journal(), 1);
+        moved("snapshot replay");
+        assert_eq!(pool.export_state("apache"), other.export_state("apache"));
+        pool.journal().unwrap().set_compact_every(0);
+
+        // A journal-only record is no mutation.
+        let appends = pool.journal().unwrap().appends();
+        pool.journal_append(WalOp::SentrySuppress(SentryOp {
+            program: "apache".to_owned(),
+            sites: vec![site],
+            all: false,
+        }));
+        assert_eq!(pool.journal().unwrap().appends(), appends + 1);
+        assert_eq!(signal.get(), last, "a journal-only record");
+
+        // A later request, from any clone, reads the same epoch.
+        assert_eq!(worker0.epoch_signal("apache").get(), last);
+        assert_eq!(pool.epoch_signal("squid").get(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,7 +26,7 @@ use fa_wal::{CheckpointOp, SentryOp, WalOp};
 
 use crate::diagnose::{Diagnosis, EngineConfig};
 use crate::metrics::{DegradationMetrics, ThroughputSampler};
-use crate::patchpool::PatchPool;
+use crate::patchpool::{EpochSignal, PatchPool};
 use crate::report::BugReport;
 use crate::validate::ValidationOutcome;
 
@@ -196,6 +196,9 @@ pub struct FirstAidRuntime {
     last_proc_clock: u64,
     /// Pool epoch for *this* program at the last patch sync.
     pool_epoch_seen: u64,
+    /// This program's epoch as the pool publishes it, read without the
+    /// pool lock before each input.
+    pool_signal: EpochSignal,
     /// Input index of the most recent failure, for crash-loop detection.
     last_failure_index: Option<usize>,
     /// Degradation-ladder counters (core stages; pool I/O counters are
@@ -232,6 +235,7 @@ impl FirstAidRuntime {
         config.engine.integrity_check = config.integrity_check_every > 0;
         let program = app.name().to_owned();
         let mut ctx = ProcessCtx::new(config.heap_limit);
+        let pool_signal = pool.epoch_signal(&program);
         let (patches, pool_epoch_seen) = pool.get_with_epoch(&program);
         let quarantine = config.quarantine_bytes;
         let sentry_cfg = config.sentry.clone();
@@ -257,6 +261,7 @@ impl FirstAidRuntime {
             wall_ns: last_proc_clock,
             last_proc_clock,
             pool_epoch_seen,
+            pool_signal,
             last_failure_index: None,
             degradation: DegradationMetrics::default(),
             monitor: HashMap::new(),
@@ -336,9 +341,9 @@ impl FirstAidRuntime {
         self.trial_errors
     }
 
-    /// Re-reads this program's published patches from the pool's
-    /// lock-free plane and updates the sync markers. The returned Arc
-    /// is the pool's own snapshot — no patch is copied.
+    /// Re-reads this program's published patches and their epoch from
+    /// the pool in one locked read and updates the sync marker. The
+    /// returned Arc is the pool's own set — no patch is copied.
     fn sync_pool_patches(&mut self) -> std::sync::Arc<fa_allocext::PatchSet> {
         let (patches, epoch) = self.pool.get_with_epoch(&self.program);
         self.pool_epoch_seen = epoch;
@@ -350,13 +355,15 @@ impl FirstAidRuntime {
     /// are "available to all the processes that are running the same
     /// program").
     ///
-    /// The fast path is one lock-free epoch read from the pool's plane,
-    /// so fleet workers can call this before every input. Another
-    /// program's pool traffic leaves this program's epoch, and so this
-    /// runtime's installed set, untouched. Returns `true` if new patches
-    /// were installed.
+    /// The quiet path is one atomic load of this program's
+    /// [`EpochSignal`], compared with the epoch last synced, so fleet
+    /// workers can call this before every input. Only a moved epoch
+    /// takes the pool lock, to read the set together with its epoch.
+    /// Another program's pool traffic leaves this program's epoch, and
+    /// so this runtime's installed set, untouched. Returns `true` if the
+    /// installed set was replaced.
     pub fn refresh_patches(&mut self) -> bool {
-        if self.pool.epoch(&self.program) == self.pool_epoch_seen {
+        if !self.pool_signal.moved(self.pool_epoch_seen) {
             return false;
         }
         let patches = self.sync_pool_patches();
@@ -637,5 +644,52 @@ impl FirstAidRuntime {
         summary.degradation = self.degradation();
         summary.sentry = self.sentry_metrics();
         summary
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use fa_proc::{App, Response};
+
+    use super::*;
+
+    #[derive(Clone)]
+    struct Idle;
+
+    impl App for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+
+        fn handle(&mut self, _ctx: &mut ProcessCtx, _input: &Input) -> Result<Response, Fault> {
+            Ok(Response::bytes(0))
+        }
+
+        fn clone_app(&self) -> BoxedApp {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_quiet_refresh_takes_no_pool_lock() {
+        let pool = PatchPool::in_memory();
+        let mut rt =
+            FirstAidRuntime::launch(Box::new(Idle), FirstAidConfig::default(), pool.clone())
+                .expect("launch");
+        // The test thread holds the pool mutex while a second thread
+        // refreshes: a quiet path that took the lock would block until
+        // the timeout.
+        let quiet = std::thread::scope(|s| {
+            let held = pool.hold_lock();
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || tx.send(rt.refresh_patches()));
+            let quiet = rx.recv_timeout(Duration::from_secs(10));
+            drop(held);
+            quiet
+        });
+        assert_eq!(quiet, Ok(false), "nothing published, no lock taken");
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! * **Epoch-driven refresh** — before each input a worker calls
 //!   [`refresh_patches`](first_aid_core::FirstAidRuntime::refresh_patches),
-//!   one lock-free read of its program's epoch from the pool's plane,
-//!   and re-installs its patch set only when that epoch moved.
+//!   one atomic load of its program's epoch signal, and re-installs its
+//!   patch set only when that epoch moved.
 //! * **Dispatch** — strict rotation over bounded per-worker queues (8
 //!   inputs deep): input `i` goes to worker `i % N`, which pairs with
 //!   sharded streams.
@@ -39,7 +39,7 @@
 //!   ([`FleetReport::time_to_fleet_immunity_ns`]).
 //! * **Scale harness** — [`ScaleFleet`] shards 10²–10⁵ simulated
 //!   workers into gossip cells ([`CellTopology`]) and drives the real
-//!   lock-free patch plane from every simulated input, with a
+//!   pool reads and epoch signals from every simulated input, with a
 //!   deterministic virtual-time propagation model (used by the
 //!   `fleet_scale` bench).
 //!

@@ -5,14 +5,17 @@
 //! model to six digits by splitting what must be *real* from what must
 //! be *deterministic*:
 //!
-//! * **Real:** the patch plane. Every simulated input performs the
-//!   actual per-input hot path against a live [`PatchPool`] — one
-//!   lock-free [`PatchPool::get_with_epoch`] (the set plus the epoch a
-//!   worker's "anything new?" check compares) and a call-site match —
-//!   across real OS threads, so aggregate inputs/sec measures the true
-//!   cost of the lock-free read side under core-count concurrency. The pool holds
-//!   real patches produced by real diagnoses (the bench's diagnosis
-//!   phase, see [`AppPlan`]).
+//! * **Real:** the pool reads. Each simulated worker launches with one
+//!   locked [`PatchPool::get_with_epoch`] (its set plus the epoch that
+//!   set belongs to), then performs the actual per-input quiet path
+//!   against a live [`PatchPool`] — [`EpochSignal::moved`], the check
+//!   `FirstAidRuntime::refresh_patches` makes, and a call-site match on
+//!   the set it holds — across real OS threads, so aggregate inputs/sec
+//!   measures the true cost of a fleet's pool traffic under core-count
+//!   concurrency. Every block of workers is also served once without
+//!   the per-input check, right beside its signal pass, as a
+//!   same-process reference. The pool holds real patches produced by
+//!   real diagnoses (the bench's diagnosis phase, see [`AppPlan`]).
 //! * **Deterministic:** the propagation timeline. Worker `w` runs
 //!   program `plans[w % napps]`; the first victim worker of each app
 //!   pays the app's measured diagnosis cost (`recovery_ns`) and
@@ -26,12 +29,12 @@
 //!   query `checksum` are byte-reproducible across machines — which is
 //!   what lets `fleet_scale --check` gate them exactly.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use fa_allocext::Patch;
 use fa_proc::CallSite;
-use first_aid_core::PatchPool;
+use first_aid_core::{EpochSignal, PatchPool};
 use serde::Serialize;
 
 use crate::cells::{splitmix64_next, CellTopology};
@@ -62,7 +65,7 @@ pub struct ScaleConfig {
     pub fanout: usize,
     /// Virtual duration of one gossip round.
     pub gossip_round_ns: u64,
-    /// Real hot-path queries each simulated worker performs.
+    /// Inputs each simulated worker serves (one real signal load each).
     pub inputs_per_worker: usize,
     /// Virtual time per input (the modeled service time).
     pub per_input_ns: u64,
@@ -88,17 +91,23 @@ impl Default for ScaleConfig {
     }
 }
 
+/// Simulated workers per timed block. Each block is served twice back
+/// to back, with and without the per-input check, so a stall of the
+/// machine lands on one block's pair, not on one whole pass.
+const BLOCK: usize = 8;
+
 /// What one scale run produced. The virtual-time fields (`immunity_ns`,
 /// `patch_hits`, `failures`, `checksum`) are deterministic for a given
 /// config + plans; the wall-clock fields (`elapsed_ns`,
-/// `inputs_per_sec`) measure this machine.
+/// `inputs_per_sec`, `unchecked_inputs_per_sec`, `vs_unchecked`)
+/// measure this machine.
 #[derive(Clone, Debug, Serialize)]
 pub struct ScaleOutcome {
     pub workers: usize,
     pub cells: usize,
     /// Gossip rounds to full propagation (the logarithmic term).
     pub gossip_rounds: u32,
-    /// Total simulated inputs (= real hot-path queries performed).
+    /// Total simulated inputs (= real per-input pool checks performed).
     pub inputs: u64,
     /// Virtual time at which the last worker became immunized.
     pub immunity_ns: u64,
@@ -111,23 +120,43 @@ pub struct ScaleOutcome {
     /// Order-independent digest of every query result (reproducibility
     /// witness: the real reads saw exactly the expected patch state).
     pub checksum: u64,
-    /// Wall-clock time of the threaded query phase.
+    /// Wall-clock time of the threaded query phase on the signal path:
+    /// the slowest thread's summed signal passes.
     pub elapsed_ns: u64,
-    /// Real aggregate throughput of the query phase.
+    /// Real aggregate throughput of the signal path.
     pub inputs_per_sec: f64,
+    /// The same for the passes without the per-input check.
+    pub unchecked_inputs_per_sec: f64,
+    /// Median, over pairs of consecutive blocks, of the signal passes'
+    /// throughput as a fraction of their unchecked twins': the cost of
+    /// the per-input check, with the machine's speed at the time
+    /// cancelled out.
+    pub vs_unchecked: f64,
 }
 
-/// Per-allocation query-latency comparison: the retired locked read
-/// path ([`PatchPool::get_locked`], mutex + full `PatchSet` clone per
-/// call) against the lock-free plane ([`PatchPool::get`]), hammered
-/// from `threads` concurrent readers.
+/// One query thread's share of a run.
+#[derive(Default)]
+struct Tally {
+    immunity_ns: u64,
+    hits: u64,
+    fails: u64,
+    checksum: u64,
+    /// Per block: the signal pass's and the unchecked pass's time.
+    blocks: Vec<(u64, u64)>,
+}
+
+/// Per-input query-latency comparison: a locked read
+/// ([`PatchPool::get_with_epoch`]) against a worker's quiet path
+/// ([`EpochSignal::moved`] on the epoch it last read), hammered from
+/// `threads` concurrent readers.
 #[derive(Clone, Debug, Serialize)]
 pub struct QueryLatency {
     pub threads: usize,
     pub iters_per_thread: u64,
-    /// Mean ns per locked query under contention.
+    /// Mean ns per locked query under contention, fastest round.
     pub locked_ns: f64,
-    /// Mean ns per lock-free query under contention.
+    /// Mean ns per quiet-path signal check under contention, fastest
+    /// round.
     pub lockfree_ns: f64,
     /// `locked_ns / lockfree_ns`.
     pub speedup: f64,
@@ -172,7 +201,12 @@ impl ScaleFleet {
     }
 
     /// Runs the simulation: deterministic virtual-time propagation, real
-    /// threaded hot-path queries.
+    /// threaded hot-path queries. Each thread serves its workers in
+    /// blocks of `BLOCK` (8), every block once on the signal path and once
+    /// without the check, in alternating order so neither pass always
+    /// finds the caches warm. The pool is quiet during the run, so both
+    /// passes install the same sets; the checksum folds the signal
+    /// passes.
     pub fn run(&self) -> ScaleOutcome {
         let cfg = self.config;
         let topo = CellTopology::new(cfg.workers, cfg.cell_size, cfg.fanout, cfg.gossip_round_ns);
@@ -182,6 +216,7 @@ impl ScaleFleet {
         // Per-app propagation schedule: when each cell is informed.
         struct Sched {
             program: String,
+            signal: EpochSignal,
             site: Option<CallSite>,
             informed_ns: Vec<u64>,
             pub_ns: u64,
@@ -202,6 +237,7 @@ impl ScaleFleet {
                     .collect();
                 Sched {
                     program: plan.program.clone(),
+                    signal: self.pool.epoch_signal(&plan.program),
                     site: plan.patches.first().map(|p| p.site),
                     informed_ns,
                     pub_ns,
@@ -223,126 +259,199 @@ impl ScaleFleet {
         } else {
             cfg.threads
         };
-        let immunity = AtomicU64::new(0);
-        let hits = AtomicU64::new(0);
-        let fails = AtomicU64::new(0);
-        let checksum = AtomicU64::new(0);
         let chunk = cfg.workers.div_ceil(threads.max(1));
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(cfg.workers);
-                if lo >= hi {
-                    continue;
-                }
-                let pool = &self.pool;
-                let scheds = &scheds;
-                let immunity = &immunity;
-                let hits = &hits;
-                let fails = &fails;
-                let checksum = &checksum;
-                s.spawn(move || {
-                    let mut local_imm = 0u64;
-                    let mut local_hits = 0u64;
-                    let mut local_fails = 0u64;
-                    let mut local_sum = 0u64;
-                    for w in lo..hi {
-                        let sched = &scheds[w % napps];
-                        let cell = topo.cell_of(w);
-                        let informed = sched.informed_ns[cell];
-                        // Immunized at the first input boundary at or
-                        // after the cell learned the patch.
-                        let immunized_ns =
-                            informed.div_ceil(cfg.per_input_ns.max(1)) * cfg.per_input_ns.max(1);
-                        local_imm = local_imm.max(immunized_ns);
-                        let mut rng = cfg.seed ^ (w as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
-                        let trig_ns =
-                            (splitmix64_next(&mut rng) % horizon_inputs) * cfg.per_input_ns;
-                        if trig_ns >= immunized_ns {
-                            local_hits += 1;
-                        } else {
-                            local_fails += 1;
+        let ranges: Vec<(usize, usize)> = (0..threads)
+            .map(|t| (t * chunk, ((t + 1) * chunk).min(cfg.workers)))
+            .filter(|(lo, hi)| lo < hi)
+            .collect();
+        // Every thread starts timing once all are running, so thread
+        // start-up stays out of the timed passes.
+        let start = Barrier::new(ranges.len());
+        let tallies: Vec<Tally> = std::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .map(|&(lo, hi)| {
+                    let start = &start;
+                    let pool = &self.pool;
+                    let scheds = &scheds;
+                    s.spawn(move || {
+                        let mut tally = Tally::default();
+                        for w in lo..hi {
+                            let sched = &scheds[w % napps];
+                            let informed = sched.informed_ns[topo.cell_of(w)];
+                            // Immunized at the first input boundary at
+                            // or after the cell learned the patch.
+                            let immunized_ns = informed.div_ceil(cfg.per_input_ns.max(1))
+                                * cfg.per_input_ns.max(1);
+                            tally.immunity_ns = tally.immunity_ns.max(immunized_ns);
+                            let mut rng = cfg.seed ^ (w as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
+                            let trig_ns =
+                                (splitmix64_next(&mut rng) % horizon_inputs) * cfg.per_input_ns;
+                            if trig_ns >= immunized_ns {
+                                tally.hits += 1;
+                            } else {
+                                tally.fails += 1;
+                            }
                         }
-                        // The real per-input hot path: one lock-free read
-                        // of the patch set and its epoch, plus site match.
-                        for _ in 0..cfg.inputs_per_worker {
-                            let (set, epoch) =
-                                std::hint::black_box(pool.get_with_epoch(&sched.program));
-                            let matched = sched.site.is_some_and(|site| {
-                                set.match_alloc(site).is_some() || set.match_dealloc(site).is_some()
-                            });
-                            local_sum = local_sum
-                                .wrapping_add(epoch ^ (set.len() as u64) ^ u64::from(matched));
+                        // One worker's inputs. Launch: the set and its
+                        // epoch in one locked read. Then, per input, the
+                        // real check (if `check`) and the site match.
+                        let serve = |w: usize, check: bool| {
+                            let sched = &scheds[w % napps];
+                            let (mut set, mut seen) = pool.get_with_epoch(&sched.program);
+                            let mut sum = 0u64;
+                            for _ in 0..cfg.inputs_per_worker {
+                                if check && sched.signal.moved(seen) {
+                                    (set, seen) = pool.get_with_epoch(&sched.program);
+                                }
+                                let matched = sched.site.is_some_and(|site| {
+                                    set.match_alloc(site).is_some()
+                                        || set.match_dealloc(site).is_some()
+                                });
+                                sum = sum
+                                    .wrapping_add(seen ^ (set.len() as u64) ^ u64::from(matched));
+                            }
+                            sum
+                        };
+                        let pass = |block: std::ops::Range<usize>, check: bool| {
+                            let started = Instant::now();
+                            let sum = block.fold(0u64, |acc, w| acc.wrapping_add(serve(w, check)));
+                            (started.elapsed().as_nanos() as u64, sum)
+                        };
+                        start.wait();
+                        for (b, first) in (lo..hi).step_by(BLOCK).enumerate() {
+                            let block = first..(first + BLOCK).min(hi);
+                            let ((signal_ns, sum), (unchecked_ns, _)) = if b % 2 == 0 {
+                                let signal = pass(block.clone(), true);
+                                (signal, pass(block, false))
+                            } else {
+                                let unchecked = pass(block.clone(), false);
+                                (pass(block, true), unchecked)
+                            };
+                            tally.checksum = tally.checksum.wrapping_add(sum);
+                            tally.blocks.push((signal_ns, unchecked_ns));
                         }
-                    }
-                    immunity.fetch_max(local_imm, Ordering::Relaxed);
-                    hits.fetch_add(local_hits, Ordering::Relaxed);
-                    fails.fetch_add(local_fails, Ordering::Relaxed);
-                    checksum.fetch_add(local_sum, Ordering::Relaxed);
-                });
-            }
+                        tally
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
-        let elapsed = started.elapsed();
         let inputs = (cfg.workers * cfg.inputs_per_worker) as u64;
-        let secs = elapsed.as_secs_f64();
+        let rate = |ns: u64| {
+            if ns > 0 {
+                inputs as f64 * 1e9 / ns as f64
+            } else {
+                0.0
+            }
+        };
+        // A thread's time on one path is the sum of its passes; the
+        // slowest thread sets the phase.
+        let slowest = |path: fn(&(u64, u64)) -> u64| {
+            let per_thread = tallies
+                .iter()
+                .map(|t| t.blocks.iter().map(path).sum::<u64>());
+            per_thread.max().unwrap_or(0)
+        };
+        let elapsed_ns = slowest(|b| b.0);
+        let unchecked_ns = slowest(|b| b.1);
+        // One ratio per two consecutive blocks, which ran in opposite
+        // orders, so a warm-cache edge for the second pass cancels.
+        let mut ratios: Vec<f64> = tallies
+            .iter()
+            .flat_map(|t| t.blocks.chunks(2))
+            .map(|pair| {
+                let (signal, unchecked) = pair
+                    .iter()
+                    .fold((0u64, 0u64), |(s, u), b| (s + b.0, u + b.1));
+                unchecked as f64 / signal.max(1) as f64
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
         ScaleOutcome {
             workers: cfg.workers,
             cells,
             gossip_rounds: topo.rounds_to_full(),
             inputs,
-            immunity_ns: immunity.load(Ordering::Relaxed),
+            immunity_ns: tallies.iter().map(|t| t.immunity_ns).max().unwrap_or(0),
             last_publish_ns,
-            patch_hits: hits.load(Ordering::Relaxed),
-            failures: fails.load(Ordering::Relaxed),
-            checksum: checksum.load(Ordering::Relaxed),
-            elapsed_ns: elapsed.as_nanos() as u64,
-            inputs_per_sec: if secs > 0.0 {
-                inputs as f64 / secs
-            } else {
-                0.0
-            },
+            patch_hits: tallies.iter().map(|t| t.hits).sum(),
+            failures: tallies.iter().map(|t| t.fails).sum(),
+            checksum: tallies
+                .iter()
+                .fold(0, |acc, t| acc.wrapping_add(t.checksum)),
+            elapsed_ns,
+            inputs_per_sec: rate(elapsed_ns),
+            unchecked_inputs_per_sec: rate(unchecked_ns),
+            vs_unchecked: ratios.get(ratios.len() / 2).copied().unwrap_or(0.0),
         }
     }
 }
 
-/// Measures mean per-query latency of the locked baseline against the
-/// lock-free plane, with `threads` readers hammering the same pool
-/// concurrently (the contention profile a fleet's allocation fast
-/// paths produce). Returns mean ns/query per mode and the speedup.
+/// Rounds per mode in [`measure_query_latency`].
+const LATENCY_ROUNDS: usize = 5;
+
+/// Measures mean per-query latency of a locked read against a worker's
+/// quiet path, with `threads` readers hammering the same pool
+/// concurrently (the contention profile a fleet's per-input checks
+/// produce). Returns each mode's fastest of `LATENCY_ROUNDS` (5) rounds,
+/// in ns/query, and the speedup.
 pub fn measure_query_latency(
     pool: &PatchPool,
     programs: &[String],
     threads: usize,
     iters_per_thread: u64,
 ) -> QueryLatency {
+    // The slowest thread's time from a common start, per query of all
+    // threads together.
     fn timed(threads: usize, iters: u64, f: impl Fn(u64) -> u64 + Sync) -> f64 {
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let f = &f;
-                s.spawn(move || {
-                    let mut acc = 0u64;
-                    for i in 0..iters {
-                        acc = acc.wrapping_add(f(t as u64 ^ i));
-                    }
-                    std::hint::black_box(acc)
-                });
-            }
+        let start = Barrier::new(threads);
+        let slowest = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (f, start) = (&f, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let started = Instant::now();
+                        let mut acc = 0u64;
+                        for i in 0..iters {
+                            acc = acc.wrapping_add(f(t as u64 ^ i));
+                        }
+                        std::hint::black_box(acc);
+                        started.elapsed().as_nanos() as u64
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .max()
+                .unwrap_or(0)
         });
-        let total = (threads as u64 * iters).max(1);
-        started.elapsed().as_nanos() as f64 / total as f64
+        slowest as f64 / (threads as u64 * iters).max(1) as f64
     }
 
     let n = programs.len().max(1) as u64;
-    let locked_ns = timed(threads, iters_per_thread, |i| {
-        let set = pool.get_locked(&programs[(i % n) as usize]);
-        std::hint::black_box(set.len() as u64)
-    });
-    let lockfree_ns = timed(threads, iters_per_thread, |i| {
-        let set = pool.get(&programs[(i % n) as usize]);
-        std::hint::black_box(set.len() as u64)
-    });
+    let quiet: Vec<(EpochSignal, u64)> = programs
+        .iter()
+        .map(|p| (pool.epoch_signal(p), pool.epoch(p)))
+        .collect();
+    // Alternate the two modes and keep each one's fastest round, so a
+    // stall of the machine during one round does not set either figure.
+    let (mut locked_ns, mut lockfree_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..LATENCY_ROUNDS {
+        locked_ns = locked_ns.min(timed(threads, iters_per_thread, |i| {
+            let (set, epoch) = pool.get_with_epoch(&programs[(i % n) as usize]);
+            std::hint::black_box(set.len() as u64 ^ epoch)
+        }));
+        lockfree_ns = lockfree_ns.min(timed(threads, iters_per_thread, |i| {
+            let (signal, seen) = &quiet[(i % n) as usize];
+            u64::from(signal.moved(*seen))
+        }));
+    }
     QueryLatency {
         threads,
         iters_per_thread,
@@ -399,6 +508,8 @@ mod tests {
         assert_eq!(a.inputs, 500 * 4);
         assert!(a.immunity_ns >= a.last_publish_ns);
         assert!(a.patch_hits > 0 && a.failures > 0);
+        assert!(a.inputs_per_sec > 0.0 && a.unchecked_inputs_per_sec > 0.0);
+        assert!(a.vs_unchecked > 0.0);
     }
 
     #[test]

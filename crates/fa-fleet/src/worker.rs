@@ -70,13 +70,16 @@ fn fold(runtime: &mut FirstAidRuntime, into: &mut Folded) {
 /// Drains `jobs` through one supervised process until the channel closes.
 ///
 /// Patch propagation runs on the pool's per-program epoch: before each
-/// input the worker calls `refresh_patches`, one lock-free plane read
-/// that re-installs the published patch set only when this worker's
-/// program moved (a sibling program's patch traffic costs nothing).
-/// `launch` reads the set and its epoch in one plane read, so no
-/// publish can slip between the install and the first refresh. Virtual
-/// time is kept monotone across relaunches via `wall_base`; crash-loop
-/// backoff and restart cost are charged to it as idle time.
+/// input the worker calls `refresh_patches`, one atomic load of its
+/// program's epoch signal, and re-installs the published patch set only
+/// when that epoch moved (a sibling program's patch traffic costs
+/// nothing). `launch` reads the set and its epoch in one locked read, so
+/// no publish can slip between the install and the first refresh. An
+/// epoch also moves when a sibling's canary is admitted or a revocation
+/// empties the set, so a refresh counts toward immunity only if the
+/// installed set then holds a patch. Virtual time is kept monotone across
+/// relaunches via `wall_base`; crash-loop backoff and restart cost are
+/// charged to it as idle time.
 pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
     // A program that cannot launch has nothing to serve: the panic ends
     // only this worker's thread, and `Fleet::run` drops it at join.
@@ -117,7 +120,10 @@ pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
     }
 
     while let Ok(input) = jobs.recv() {
-        if runtime.refresh_patches() && report.immunized_at_ns.is_none() {
+        if runtime.refresh_patches()
+            && report.immunized_at_ns.is_none()
+            && runtime.with_ext(|ext| !ext.patches().is_empty())
+        {
             report.immunized_at_ns = Some(wall_base + runtime.wall_ns());
         }
         let buggy = input.buggy;
@@ -189,4 +195,105 @@ pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
     report.bytes = bytes_base + runtime.process().bytes_delivered;
     report.series = sampler.series();
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::sync::Arc;
+
+    use fa_allocext::{BugType, Patch};
+    use fa_proc::{
+        App, BoxedApp, CallSite, Fault, InputBuilder, ProcessCtx, Response, SymbolTable,
+    };
+    use first_aid_core::QuarantinePolicy;
+
+    use super::*;
+
+    const PROGRAM: &str = "hooked";
+    const SITE: CallSite = CallSite([1, 0, 0]);
+
+    fn patch() -> Patch {
+        Patch::new(BugType::BufferOverflow, SITE, &SymbolTable::new())
+    }
+
+    /// Serves every input; input op 1 first runs the test's pool
+    /// mutation, so it lands after that input's refresh and before the
+    /// next input's.
+    #[derive(Clone)]
+    struct Hooked(Arc<dyn Fn() + Send + Sync>);
+
+    impl App for Hooked {
+        fn name(&self) -> &'static str {
+            PROGRAM
+        }
+        fn handle(&mut self, _ctx: &mut ProcessCtx, input: &Input) -> Result<Response, Fault> {
+            if input.op == 1 {
+                (self.0)();
+            }
+            Ok(Response::bytes(0))
+        }
+        fn clone_app(&self) -> BoxedApp {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Runs worker 0 of `pool` over one mutating input and three benign
+    /// ones, on this thread.
+    fn serve(
+        pool: &PatchPool,
+        mutate: impl Fn(&PatchPool) + Send + Sync + 'static,
+    ) -> WorkerReport {
+        let hook: Arc<dyn Fn() + Send + Sync> = {
+            let pool = pool.clone();
+            Arc::new(move || mutate(&pool))
+        };
+        let (jobs, rx) = mpsc::channel();
+        for op in [1, 0, 0, 0] {
+            jobs.send(InputBuilder::op(op).build()).unwrap();
+        }
+        drop(jobs);
+        let params = WorkerParams {
+            id: 0,
+            factory: Arc::new(move || Box::new(Hooked(Arc::clone(&hook))) as BoxedApp),
+            runtime: FirstAidConfig::default(),
+            pool: pool.for_worker(0),
+        };
+        let report = run(params, rx);
+        assert_eq!(report.served, 4);
+        report
+    }
+
+    #[test]
+    fn an_epoch_move_that_installs_no_patch_is_not_immunity() {
+        // A sibling's canary moves the shared epoch, but worker 0 still
+        // holds nothing.
+        let quarantined = PatchPool::in_memory().with_quarantine(QuarantinePolicy {
+            quarantine_after: 1,
+            ..QuarantinePolicy::default()
+        });
+        quarantined.add(PROGRAM, [patch()]);
+        assert!(quarantined.revoke(PROGRAM, SITE));
+        let report = serve(&quarantined, |pool| {
+            let worker1 = pool.for_worker(1);
+            while !pool.has_canary(PROGRAM, SITE) {
+                worker1.add(PROGRAM, [patch()]);
+            }
+        });
+        assert_eq!(report.immunized_at_ns, None, "a sibling's canary");
+
+        // A publish and its revocation land between two inputs: the
+        // epoch moved twice and the set is empty again.
+        let report = serve(&PatchPool::in_memory(), |pool| {
+            pool.add(PROGRAM, [patch()]);
+            pool.revoke(PROGRAM, SITE);
+        });
+        assert_eq!(report.immunized_at_ns, None, "a revoked publish");
+
+        // A publish that stays is picked up by the next input's refresh.
+        let report = serve(&PatchPool::in_memory(), |pool| {
+            pool.add(PROGRAM, [patch()]);
+        });
+        assert!(report.immunized_at_ns.is_some(), "a kept publish");
+    }
 }

@@ -23,11 +23,10 @@
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fa_exec::Backoff;
 use fa_faults::{FaultPlan, FaultStage, KillPoint};
-use parking_lot::Mutex;
 
 use crate::record::{PoolSnapshot, WalOp, WalRecord};
 
@@ -119,6 +118,13 @@ struct Inner {
     faults: FaultPlan,
 }
 
+/// Locks the journal state, ignoring poison: a writer that panicked
+/// while holding it must not turn every later append into a second
+/// panic.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A crash-safe supervision journal. Clones share state (one journal,
 /// many writers: the pool, the runtime, the fleet supervisor).
 #[derive(Clone, Debug)]
@@ -167,7 +173,7 @@ impl Wal {
     /// Attaches a fault plan; [`FaultStage::WalAppendIo`] decides which
     /// appends fail and must be retried.
     pub fn with_faults(self, faults: FaultPlan) -> Wal {
-        self.inner.lock().faults = faults;
+        lock(&self.inner).faults = faults;
         self
     }
 
@@ -175,13 +181,13 @@ impl Wal {
     /// append (cleanly or mid-record), after which every append is a
     /// silent no-op — exactly what a crashed supervisor would write.
     pub fn arm_kill(&self, kill: KillPoint) {
-        self.inner.lock().kill = Some(kill);
+        lock(&self.inner).kill = Some(kill);
     }
 
     /// Enables automatic compaction: [`Wal::maybe_compact`] fires once
     /// `every` records accumulate past the last snapshot. `0` disables.
     pub fn set_compact_every(&self, every: u64) {
-        self.inner.lock().compact_every = every;
+        lock(&self.inner).compact_every = every;
     }
 
     /// Encodes `record`, or counts the failure and degrades the journal
@@ -219,7 +225,7 @@ impl Wal {
     /// journal is dead (killed), degraded (persistent I/O errors), or
     /// dies at this very append per the armed kill point.
     pub fn append(&self, op: WalOp) -> Option<u64> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.dead || inner.degraded {
             return None;
         }
@@ -275,7 +281,7 @@ impl Wal {
     /// for kill scheduling; a kill here (torn or clean) leaves the old
     /// journal intact, exactly as a crash before the rename would.
     pub fn compact(&self, state: PoolSnapshot) -> Option<u64> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.dead || inner.degraded {
             return None;
         }
@@ -323,7 +329,7 @@ impl Wal {
     /// Replays the journal from disk: the valid record prefix, in
     /// append order. A torn tail (from a mid-append crash) is ignored.
     pub fn replay(&self) -> Vec<WalRecord> {
-        let path = self.inner.lock().path.clone();
+        let path = lock(&self.inner).path.clone();
         match fs::read(&path) {
             Ok(bytes) => parse_prefix(&bytes).0,
             Err(_) => Vec::new(),
@@ -332,43 +338,43 @@ impl Wal {
 
     /// True once compaction is due (`set_compact_every` reached).
     pub fn needs_compaction(&self) -> bool {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.compact_every > 0 && inner.since_compact >= inner.compact_every
     }
 
     /// True after an armed kill point fired.
     pub fn is_dead(&self) -> bool {
-        self.inner.lock().dead
+        lock(&self.inner).dead
     }
 
     /// True after persistent append I/O errors disabled journaling.
     pub fn is_degraded(&self) -> bool {
-        self.inner.lock().degraded
+        lock(&self.inner).degraded
     }
 
     /// Append I/O errors seen (injected or real), including retried ones.
     pub fn io_errors(&self) -> u64 {
-        self.inner.lock().io_errors
+        lock(&self.inner).io_errors
     }
 
     /// Virtual time charged to append-retry backoff so far.
     pub fn retry_backoff_ns(&self) -> u64 {
-        self.inner.lock().retry_backoff_ns
+        lock(&self.inner).retry_backoff_ns
     }
 
     /// Successful appends since open (compactions included).
     pub fn appends(&self) -> u64 {
-        self.inner.lock().appends
+        lock(&self.inner).appends
     }
 
     /// The sequence number the next append will carry.
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().next_seq
+        lock(&self.inner).next_seq
     }
 
     /// The journal's on-disk path.
     pub fn path(&self) -> PathBuf {
-        self.inner.lock().path.clone()
+        lock(&self.inner).path.clone()
     }
 }
 

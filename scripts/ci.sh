@@ -53,13 +53,15 @@ cargo run --release --offline -p fa-bench --bin sentry -- --check
 # acceptance sweep runs in the root test suite: crash_supervision.rs.)
 cargo run --release --offline -p fa-bench --bin crash -- --check
 
-# Patch-plane scale gate: lock-free reads must beat the locked baseline
-# by >=5x under contention, time-to-fleet-immunity must stay sublinear
-# from 10^2 to 10^5 workers, and the virtual-time propagation outputs
-# must match results/fleet_scale.json exactly (seeded + deterministic)
-# in each of the 5 runs per scale point. The fastest of those runs must
-# keep at least 70% of the baseline's query throughput, which fails most
-# 2x per-query slowdowns and every 3x one. Single-worker throughput
-# regressions are covered by the perf gate above; this gate covers the
-# fleet-scale query path.
+# Patch-pool scale gate: a worker's per-input quiet path (one epoch-signal
+# load) must beat a locked get_with_epoch by >=5x under contention,
+# time-to-fleet-immunity must stay sublinear from 10^2 to 10^5 workers,
+# and the virtual-time propagation outputs must match
+# results/fleet_scale.json exactly (seeded + deterministic) in every run.
+# Each run serves every block of 8 simulated workers with and without
+# the per-input check; the signal path's throughput as a fraction of the
+# unchecked passes' must keep at least 70% of the baseline's, so a locked
+# read per input fails while machine speed cancels out. Single-worker
+# throughput regressions are covered by the perf gate above; this gate
+# covers the fleet-scale query path.
 cargo run --release --offline -p fa-bench --bin fleet_scale -- --check

@@ -202,19 +202,19 @@ fn journal_truncation_recovers_a_valid_earlier_epoch_never_corrupt() {
 }
 
 /// Canonical, order-insensitive digest of a patch set (for comparing
-/// the lock-free plane against the locked oracle).
+/// the published sets against the locked oracle).
 fn digest(set: &PatchSet) -> Vec<String> {
     let mut rows: Vec<String> = set.patches().iter().map(|p| format!("{p:?}")).collect();
     rows.sort();
     rows
 }
 
-/// Journal/replay equivalence for the lock-free read plane: a pool
-/// recovered from a (possibly torn) journal rebuilds its RCU snapshot
-/// directory to exactly the state the locked mutex-and-clone oracle
-/// reports — same epoch, same patches — both right after recovery and
-/// after re-running the workload to convergence, where it must also
-/// match the uninterrupted reference run's plane.
+/// Journal/replay equivalence for the published patch sets: a pool
+/// recovered from a (possibly torn) journal rebuilds its published
+/// entries to exactly the state the locked oracle rebuilds from the
+/// writer side — same epoch, same patches — both right after recovery
+/// and after re-running the workload to convergence, where it must also
+/// match the uninterrupted reference run's set.
 #[test]
 fn recovered_read_plane_matches_locked_oracle_and_reference() {
     let spec = spec_by_key("squid").unwrap();
@@ -240,8 +240,8 @@ fn recovered_read_plane_matches_locked_oracle_and_reference() {
         }
 
         // Restart: recovery replays the journal's valid prefix and must
-        // republish the read plane — before any new traffic, the
-        // lock-free view already equals the locked oracle.
+        // republish every entry — before any new traffic, the published
+        // view already equals the locked oracle.
         let pool = PatchPool::journaled(&dir).unwrap();
         let (fast, fast_epoch) = pool.get_with_epoch(&program);
         let (locked, locked_epoch) = pool.get_locked_with_epoch(&program);
@@ -249,11 +249,11 @@ fn recovered_read_plane_matches_locked_oracle_and_reference() {
         assert_eq!(
             digest(&fast),
             digest(&locked),
-            "kill {kp:?}: post-recovery plane vs locked oracle"
+            "kill {kp:?}: post-recovery published set vs locked oracle"
         );
 
-        // Re-run to convergence: the plane tracks every replayed and
-        // newly-published epoch and lands on the reference snapshot.
+        // Re-run to convergence: the published set tracks every replayed
+        // and newly-published epoch and lands on the reference snapshot.
         let _ = run_once(&spec, pool.clone());
         let (fast, fast_epoch) = pool.get_with_epoch(&program);
         let (locked, locked_epoch) = pool.get_locked_with_epoch(&program);

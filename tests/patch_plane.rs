@@ -1,10 +1,9 @@
-//! Multi-threaded stress of the lock-free patch plane.
+//! Multi-threaded stress of the patch pool's read path.
 //!
-//! The pool's read path is an RCU-style snapshot directory: readers do
-//! one atomic pointer load per query while writers publish rebuilt
-//! snapshots behind the pool mutex. This suite hammers that protocol
-//! from concurrent OS threads and asserts the guarantees downstream
-//! code leans on:
+//! Readers take the pool mutex for one lookup of a program's published
+//! entry while writers rebuild those entries behind the same mutex.
+//! This suite hammers that protocol from concurrent OS threads and
+//! asserts the guarantees downstream code leans on:
 //!
 //! * **No torn snapshots** — a reader never observes a patch set mixing
 //!   programs or half-applied mutations; every snapshot it sees was
@@ -12,10 +11,9 @@
 //! * **Monotone epochs** — per program, the epoch a reader observes
 //!   never moves backwards, and an unchanged epoch always hands back
 //!   the *same* `Arc` (pointer-equal: no clone, no rebuild).
-//! * **Oracle agreement** — once writers quiesce, the lock-free view is
-//!   byte-identical to the retired mutex-and-clone path
-//!   (`get_locked`), which stays in the tree as the correctness
-//!   baseline.
+//! * **Oracle agreement** — once writers quiesce, the published view is
+//!   byte-identical to the set rebuilt from the writer-side state
+//!   (`get_locked_with_epoch`), the correctness baseline.
 //!
 //! Everything is seeded; failures reproduce deterministically.
 
@@ -63,7 +61,7 @@ fn concurrent_writers_never_tear_reader_snapshots() {
     std::thread::scope(|s| {
         // One writer per program, each with its own seeded op stream:
         // adds dominate, with removes and revocations mixed in so the
-        // plane sees entry replacement, shrinkage, and tombstones.
+        // published entries see replacement, shrinkage, and tombstones.
         let writers: Vec<_> = PROGRAMS
             .iter()
             .enumerate()
@@ -95,8 +93,8 @@ fn concurrent_writers_never_tear_reader_snapshots() {
             })
             .collect();
 
-        // Two readers per program, spinning on the lock-free path until
-        // the writers quiesce.
+        // Two readers per program, spinning on the read path until the
+        // writers quiesce.
         for (idx, program) in PROGRAMS.iter().enumerate() {
             for _ in 0..2 {
                 let pool = pool.clone();
@@ -146,7 +144,7 @@ fn concurrent_writers_never_tear_reader_snapshots() {
         stop.store(true, Ordering::Release);
     });
 
-    // Writers have quiesced (scope joined): the lock-free plane must
+    // Writers have quiesced (scope joined): the published sets must
     // agree exactly with the locked oracle for every program.
     for program in PROGRAMS {
         let (fast, fast_epoch) = pool.get_with_epoch(program);
@@ -155,7 +153,7 @@ fn concurrent_writers_never_tear_reader_snapshots() {
         assert_eq!(
             digest(&fast),
             digest(&oracle),
-            "{program}: lock-free plane diverged from the locked oracle"
+            "{program}: published set diverged from the locked oracle"
         );
         assert_eq!(fast.patches().len(), pool.len(program));
     }
@@ -260,8 +258,11 @@ fn worker_scoped_views_stay_consistent_under_stress() {
     assert!(!pool.get(program).patches().is_empty());
     assert_eq!(
         digest(&pool.get(program)),
-        digest(&pool.get_locked(program))
+        digest(&pool.get_locked_with_epoch(program).0)
     );
     let w0 = pool.for_worker(0);
-    assert_eq!(digest(&w0.get(program)), digest(&w0.get_locked(program)));
+    assert_eq!(
+        digest(&w0.get(program)),
+        digest(&w0.get_locked_with_epoch(program).0)
+    );
 }
