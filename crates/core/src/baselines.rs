@@ -6,6 +6,7 @@ use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
 use fa_exec::{expect_ext, ReexecOptions, ReplayHarness};
 use fa_proc::{BoxedApp, Fault, Input, Process, ProcessCtx, StepResult};
 
+use crate::diagnose::{MARGIN_INTERVALS, MAX_CHECKPOINT_TRIES};
 use crate::log;
 use crate::metrics::ThroughputSampler;
 use crate::runtime::RunSummary;
@@ -35,8 +36,6 @@ pub struct RxRuntime {
     manager: CheckpointManager,
     wall_ns: u64,
     last_proc_clock: u64,
-    margin_intervals: u64,
-    max_checkpoint_tries: usize,
     /// All recoveries performed.
     pub recoveries: Vec<RxRecovery>,
 }
@@ -59,8 +58,6 @@ impl RxRuntime {
             manager,
             wall_ns: last_proc_clock,
             last_proc_clock,
-            margin_intervals: 3,
-            max_checkpoint_tries: 8,
             recoveries: Vec::new(),
         })
     }
@@ -129,13 +126,13 @@ impl RxRuntime {
             return;
         };
         let wall_start = self.wall_ns;
-        let margin_ns = self.margin_intervals * self.manager.interval_ns();
+        let margin_ns = MARGIN_INTERVALS * self.manager.interval_ns();
         let until =
             ReplayHarness::success_end_cursor(&self.process, failure.input_index, margin_ns);
         let mut rollbacks = 0usize;
         let mut survived = false;
         #[allow(clippy::explicit_counter_loop)] // rollbacks counts work, not iterations reached
-        for k in 0..self.max_checkpoint_tries {
+        for k in 0..MAX_CHECKPOINT_TRIES {
             let Some(ckpt) = self.manager.nth_newest(k) else {
                 break;
             };

@@ -51,51 +51,41 @@ pub fn trap_seed_site(trap: &TrapRecord, bug: BugType) -> Option<CallSite> {
     }
 }
 
+/// Success margin past the failure point, as a multiple of the
+/// checkpoint interval (the paper uses 3).
+pub(crate) const MARGIN_INTERVALS: u64 = 3;
+
+/// How many checkpoints phase 1 tries before declaring the bug
+/// non-patchable.
+pub(crate) const MAX_CHECKPOINT_TRIES: usize = 8;
+
+/// Hard cap on total re-executions (the diagnosis timeout).
+const MAX_REEXECUTIONS: usize = 96;
+
+/// Hard deadline on total diagnosis time (virtual ns). A diagnosis that
+/// blows it is abandoned as non-patchable and the runtime descends the
+/// degradation ladder.
+const DEADLINE_NS: u64 = 120_000_000_000;
+
+/// How many times a flaky re-execution (one that dies for reasons
+/// unrelated to the bug) is retried before the iteration is written off
+/// as failed.
+const REEXEC_RETRIES: u32 = 2;
+
+/// Base backoff charged per flaky retry; doubles per attempt.
+const RETRY_BACKOFF_NS: u64 = 2_000_000;
+
+/// Per-trial virtual-time deadline enforced by the hung-trial watchdog.
+/// A trial past it is declared lost and recovery degrades (descends the
+/// ladder) instead of wedging diagnosis.
+const TRIAL_DEADLINE_NS: u64 = 60_000_000_000;
+
 /// Tunables of the diagnosis engine.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Success margin past the failure point, as a multiple of the
-    /// checkpoint interval (the paper uses 3).
-    pub margin_intervals: u64,
-    /// How many checkpoints phase 1 tries before declaring the bug
-    /// non-patchable.
-    pub max_checkpoint_tries: usize,
-    /// Hard cap on total re-executions (the diagnosis timeout).
-    pub max_reexecutions: usize,
     /// Run the heap-integrity monitor during re-executions (must match
     /// the deployment's normal-execution monitors).
     pub integrity_check: bool,
-    /// Hard deadline on total diagnosis time (virtual ns); `0` means
-    /// unlimited. A diagnosis that blows the deadline is abandoned as
-    /// non-patchable and the runtime descends the degradation ladder.
-    pub deadline_ns: u64,
-    /// How many times a flaky re-execution (one that dies for reasons
-    /// unrelated to the bug) is retried before the iteration is
-    /// written off as failed.
-    pub reexec_retries: u32,
-    /// Base backoff charged per flaky retry; doubles per attempt.
-    pub retry_backoff_ns: u64,
-    /// Per-trial virtual-time deadline enforced by the hung-trial
-    /// watchdog; `0` disables the overrun check (injected hangs are
-    /// still reaped). A trial past its deadline is declared lost and
-    /// recovery degrades (descends the ladder) instead of wedging
-    /// diagnosis.
-    pub trial_deadline_ns: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            margin_intervals: 3,
-            max_checkpoint_tries: 8,
-            max_reexecutions: 96,
-            integrity_check: false,
-            deadline_ns: 120_000_000_000,
-            reexec_retries: 2,
-            retry_backoff_ns: 2_000_000,
-            trial_deadline_ns: 60_000_000_000,
-        }
-    }
 }
 
 /// One diagnosed bug: its type, triggering call-sites, and evidence.
@@ -222,7 +212,7 @@ impl DiagnosisEngine {
 
     /// True once the ledger has consumed the diagnosis deadline.
     fn past_deadline(&self, ledger: &Ledger) -> bool {
-        self.config.deadline_ns > 0 && ledger.elapsed_ns >= self.config.deadline_ns
+        ledger.elapsed_ns >= DEADLINE_NS
     }
 
     /// Diagnoses the pending failure of `process`.
@@ -239,7 +229,7 @@ impl DiagnosisEngine {
             panic!("{}", FaError::NoPendingFailure("diagnose"));
         };
         let f_idx = failure.input_index;
-        let margin_ns = self.config.margin_intervals * manager.interval_ns();
+        let margin_ns = MARGIN_INTERVALS * manager.interval_ns();
         let until = ReplayHarness::success_end_cursor(process, f_idx, margin_ns);
         let mut ledger = Ledger::new(format!(
             "failure: {} at input #{f_idx} (t={:.3}s); success region ends at #{until}",
@@ -250,15 +240,10 @@ impl DiagnosisEngine {
         // Injected wedge: the whole diagnosis hangs and blows its
         // deadline without producing anything.
         if self.faults.should_fail(FaultStage::DiagnosisTimeout) {
-            let budget = if self.config.deadline_ns > 0 {
-                self.config.deadline_ns
-            } else {
-                1_000_000_000
-            };
-            ledger.elapsed_ns += budget;
+            ledger.elapsed_ns += DEADLINE_NS;
             ledger.log.push(format!(
                 "diagnosis deadline exceeded after {:.3}s (injected wedge); non-patchable",
-                budget as f64 / 1e9
+                DEADLINE_NS as f64 / 1e9
             ));
             return DiagnosisOutcome::NonPatchable {
                 rollbacks: ledger.rollbacks,
@@ -306,7 +291,7 @@ impl DiagnosisEngine {
         // Phase 1: find the latest checkpoint before the trigger point.
         // --------------------------------------------------------------
         let mut chosen: Option<u64> = None;
-        for k in 0..self.config.max_checkpoint_tries {
+        for k in 0..MAX_CHECKPOINT_TRIES {
             if self.past_deadline(&ledger) {
                 ledger
                     .log
@@ -353,7 +338,7 @@ impl DiagnosisEngine {
         let mut su: Vec<BugType> = BugType::ALL.to_vec();
         let mut si: Vec<DiagnosedBug> = Vec::new();
         while let Some(&probe_bug) = su.first() {
-            if ledger.rollbacks >= self.config.max_reexecutions || self.past_deadline(&ledger) {
+            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(&ledger) {
                 ledger.log.push(if self.past_deadline(&ledger) {
                     "diagnosis deadline exceeded during phase 2; non-patchable".into()
                 } else {

@@ -7,7 +7,10 @@ use fa_exec::{ReplayHarness, RunReport, TrialLedger as Ledger, TrialSpec};
 use fa_faults::FaultStage;
 use fa_proc::{CallSite, Process};
 
-use super::{trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine};
+use super::{
+    trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, MARGIN_INTERVALS,
+    MAX_CHECKPOINT_TRIES, MAX_REEXECUTIONS,
+};
 
 impl DiagnosisEngine {
     /// Sentry fast-path diagnosis: a trapped failure arrives with the bug
@@ -31,7 +34,7 @@ impl DiagnosisEngine {
     ) -> Option<Diagnosis> {
         let failure = process.failure.clone()?;
         let f_idx = failure.input_index;
-        let margin_ns = self.config.margin_intervals * manager.interval_ns();
+        let margin_ns = MARGIN_INTERVALS * manager.interval_ns();
         let until = ReplayHarness::success_end_cursor(process, f_idx, margin_ns);
         let bug = trap_bug_type(trap);
         let mut ledger = Ledger::new(format!(
@@ -48,8 +51,8 @@ impl DiagnosisEngine {
         // both paths bisect over the same re-execution window — a later
         // checkpoint would see only a suffix of the triggering sites.
         let mut chosen: Option<u64> = None;
-        for k in 0..self.config.max_checkpoint_tries {
-            if ledger.rollbacks >= self.config.max_reexecutions || self.past_deadline(&ledger) {
+        for k in 0..MAX_CHECKPOINT_TRIES {
+            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(&ledger) {
                 return None;
             }
             let Some(ckpt) = manager.nth_newest(k) else {

@@ -14,7 +14,7 @@ use fa_checkpoint::CheckpointManager;
 use fa_exec::{RunReport, TrialLedger as Ledger, TrialSpec};
 use fa_proc::{CallSite, Process};
 
-use super::DiagnosisEngine;
+use super::{DiagnosisEngine, MAX_REEXECUTIONS};
 
 impl DiagnosisEngine {
     /// Binary call-site search for dangling-read / uninit-read bugs:
@@ -41,7 +41,7 @@ impl DiagnosisEngine {
         };
 
         loop {
-            if ledger.rollbacks >= self.config.max_reexecutions || self.past_deadline(ledger) {
+            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(ledger) {
                 if self.past_deadline(ledger) {
                     ledger
                         .log
@@ -85,7 +85,7 @@ impl DiagnosisEngine {
                 break;
             }
             while range.len() > 1 {
-                if ledger.rollbacks >= self.config.max_reexecutions || self.past_deadline(ledger) {
+                if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(ledger) {
                     break;
                 }
                 let half: Vec<CallSite> = range[..range.len() / 2].to_vec();

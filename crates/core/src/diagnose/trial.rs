@@ -12,14 +12,14 @@ use fa_exec::{
 };
 use fa_proc::Process;
 
-use super::DiagnosisEngine;
+use super::{DiagnosisEngine, REEXEC_RETRIES, RETRY_BACKOFF_NS, TRIAL_DEADLINE_NS};
 
 impl DiagnosisEngine {
     /// One re-execution of `spec`, charged to `ledger`, with bounded
     /// retry-with-backoff against flaky iterations: if the fault plan
     /// declares this re-execution flaky (it dies for reasons unrelated to
     /// the bug), the engine charges an exponentially growing backoff and
-    /// retries up to `reexec_retries` times before writing the iteration
+    /// retries up to `REEXEC_RETRIES` times before writing the iteration
     /// off as a failed run. A trial the watchdog reaps likewise degrades
     /// to a failed run, so one wedged trial cannot stall diagnosis.
     pub(super) fn run(
@@ -83,8 +83,8 @@ impl DiagnosisEngine {
     fn gate(&self) -> FaultGate<'_> {
         FaultGate::new(
             &self.faults,
-            self.config.reexec_retries,
-            self.config.retry_backoff_ns,
+            REEXEC_RETRIES,
+            RETRY_BACKOFF_NS,
             &self.retries,
         )
     }
@@ -94,9 +94,9 @@ impl DiagnosisEngine {
     fn watchdog(&self) -> Watchdog<'_> {
         Watchdog::new(
             &self.faults,
-            self.config.trial_deadline_ns,
-            self.config.reexec_retries,
-            self.config.retry_backoff_ns,
+            TRIAL_DEADLINE_NS,
+            REEXEC_RETRIES,
+            RETRY_BACKOFF_NS,
             &self.trial_hangs,
         )
     }

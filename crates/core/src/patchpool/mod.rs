@@ -7,17 +7,23 @@
 //! ([`PatchPool::journaled`]) so subsequent runs and *other processes of
 //! the same program* start protected.
 //!
-//! Every read and every mutation runs under one mutex. Mutations —
-//! publish, revoke, canary traffic, journal replay — are where the
-//! quarantine gate, tombstones and journaling live; before releasing the
-//! mutex the writer bumps the affected program's epoch and rebuilds its
-//! published entry (a handle to that epoch counter, `Arc<PatchSet>`,
-//! per-worker canary overlays). A read
-//! ([`PatchPool::get`], [`PatchPool::get_with_epoch`]) is one locked
-//! lookup of that entry plus an `Arc` clone: no `PatchSet` is built, and
-//! same-epoch reads are pointer-equal. [`PatchPool::get_locked_with_epoch`]
-//! rebuilds the set from the writer-side state instead; it is the
-//! oracle the published entries are checked against.
+//! Each program's state is one record: its patches, tombstones, flap
+//! bookkeeping, epoch counter and published sets. One function, `apply`,
+//! changes that state, one journal record at a time. A mutation
+//! (publish, revoke, canary traffic) runs decide → apply → journal →
+//! republish under the pool mutex. It first decides which records its
+//! call produces: the quarantine gate and the tombstone and canary checks
+//! only read. It then applies those records, appends them to the journal,
+//! and rebuilds the program's published sets (the fleet-wide
+//! `Arc<PatchSet>` and per-worker canary overlays). Journal replay applies
+//! the records it reads with the same `apply`, so a recovered pool equals
+//! the live one by construction.
+//!
+//! A read ([`PatchPool::get`], [`PatchPool::get_with_epoch`]) is one
+//! locked lookup of the published set plus an `Arc` clone: no `PatchSet`
+//! is built, and same-epoch reads are pointer-equal.
+//! [`PatchPool::get_locked_with_epoch`] builds the set from the patch list
+//! instead; it is the oracle the published sets are checked against.
 //!
 //! For fleet operation the pool carries one change signal: the
 //! per-program epoch, an atomic counter bumped only under the mutex.
@@ -51,7 +57,7 @@ use fa_allocext::{Patch, PatchSet};
 use fa_proc::CallSite;
 use fa_wal::{
     CanaryOp, DenyOp, PoolSnapshot, ProgramSnapshot, PublishOp, QuarantineEntry, RevokeOp, SiteOp,
-    Wal, WalOp, WalRecord,
+    Wal, WalOp,
 };
 
 use crate::{lock, log};
@@ -82,7 +88,7 @@ impl Default for QuarantinePolicy {
 }
 
 /// Flap bookkeeping for one revoked call-site.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct SiteState {
     /// Fleet-wide revocations of this site.
     flaps: u32,
@@ -96,37 +102,15 @@ struct SiteState {
     canary: Option<(u64, Vec<Patch>)>,
 }
 
-impl SiteState {
-    /// State for a site first seen through the re-admission gate (a
-    /// tombstone that predates the policy): one denial before retry.
-    fn tracked() -> SiteState {
-        SiteState {
-            window: 1,
-            ..SiteState::default()
-        }
-    }
-}
-
-/// How one patch fares at the re-admission gate.
-enum Gate {
-    Publish,
-    Deny(u32),
-    Canary(u64),
-    Refuse,
-}
-
-/// One program's published view: its epoch counter, the fleet-wide
-/// patch set and per-worker canary overlays (base set + canary patches,
-/// merged at publish time so a scoped read builds nothing either).
-struct Published {
-    /// The program's counter from `epoch_by_program` (the same `Arc`,
-    /// not a copy), so a read finds set and epoch in one lookup.
-    epoch: Arc<AtomicU64>,
-    set: Arc<PatchSet>,
-    /// Worker id -> merged (fleet + canary) set, for workers with an
-    /// in-flight canary. Empty for almost every publish.
-    scoped: HashMap<u64, Arc<PatchSet>>,
-}
+/// State for a site first seen through the re-admission gate (a
+/// tombstone that predates the policy): one denial before retry.
+static TRACKED: SiteState = SiteState {
+    flaps: 0,
+    window: 1,
+    denials: 0,
+    quarantined: false,
+    canary: None,
+};
 
 /// A read-only view of one program's pool epoch.
 ///
@@ -154,27 +138,128 @@ impl EpochSignal {
     }
 }
 
+/// One program's pool state. Created on first use and never removed, so
+/// the epoch counter its [`EpochSignal`]s share stays the program's.
 #[derive(Default)]
-struct Pools {
-    by_program: HashMap<String, Vec<Patch>>,
-    /// The one per-program epoch store. Bumped only under the pool
-    /// mutex; [`EpochSignal`]s share these counters, so an entry is
-    /// never removed or replaced once created. `Relaxed` is enough: a
-    /// counter publishes no data, and a reader that sees it move reads
-    /// the set under the mutex, which orders that read after the publish.
-    epoch_by_program: HashMap<String, Arc<AtomicU64>>,
+struct Program {
+    /// Fleet-wide patches, in admission order.
+    patches: Vec<Patch>,
+    /// Bumped once per epoch-bumping record, only under the pool mutex.
+    /// `Relaxed` is enough: a counter publishes no data, and a reader
+    /// that sees it move reads the set under the mutex, which orders that
+    /// read after the publish.
+    epoch: Arc<AtomicU64>,
     /// Call-sites whose patches the health monitor revoked as
     /// ineffective. Tombstones: `add` refuses to re-admit patches at
     /// these sites, so a revoked patch can never re-propagate through
-    /// the fleet. Without a [`QuarantinePolicy`] they are permanent
-    /// and in-memory only (a fresh deployment may retry).
-    revoked_by_program: HashMap<String, HashSet<CallSite>>,
-    /// Flap bookkeeping per revoked site, populated only when a
-    /// quarantine policy is active (or replayed from a journal).
-    quarantine_by_program: HashMap<String, HashMap<CallSite, SiteState>>,
-    /// What readers get: rebuilt for a program on each of its effective
-    /// mutations, and for every program after journal replay.
-    published: HashMap<String, Published>,
+    /// the fleet. They are journaled and replayed like every other
+    /// record; without a [`QuarantinePolicy`] they are permanent.
+    revoked: HashSet<CallSite>,
+    /// Flap bookkeeping per revoked site, kept only when a quarantine
+    /// policy is active (or replayed from a journal).
+    sites: HashMap<CallSite, SiteState>,
+    /// What unscoped readers get, rebuilt after each effective mutation.
+    set: Arc<PatchSet>,
+    /// Worker id -> fleet set plus that worker's canaries, for workers
+    /// with a canary in flight. Empty for almost every publish.
+    scoped: HashMap<u64, Arc<PatchSet>>,
+}
+
+impl Program {
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    fn bump(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A site's flap bookkeeping, as the re-admission gate would start
+    /// it if the site has none yet.
+    fn site(&self, site: CallSite) -> &SiteState {
+        self.sites.get(&site).unwrap_or(&TRACKED)
+    }
+
+    /// No state at all: only ever read (e.g. for an [`EpochSignal`]), or
+    /// cleared by a compaction snapshot that did not carry it.
+    fn is_blank(&self) -> bool {
+        self.epoch() == 0
+            && self.patches.is_empty()
+            && self.revoked.is_empty()
+            && self.sites.is_empty()
+    }
+
+    /// The set a reader scoped to `worker` sees: the fleet-wide patches
+    /// plus that worker's in-flight canaries.
+    fn set_in(&self, worker: Option<u64>) -> PatchSet {
+        let canaries = self
+            .sites
+            .values()
+            .filter_map(|st| st.canary.as_ref())
+            .filter(|(w, _)| Some(*w) == worker)
+            .flat_map(|(_, patches)| patches);
+        PatchSet::from_patches(self.patches.iter().chain(canaries).cloned())
+    }
+
+    /// Rebuilds the published sets from the state. Called under the pool
+    /// mutex once a mutation's records are journaled (or replayed), so
+    /// readers can never observe state the journal does not yet hold.
+    fn republish(&mut self) {
+        let workers: HashSet<u64> = self
+            .sites
+            .values()
+            .filter_map(|st| st.canary.as_ref().map(|(w, _)| *w))
+            .collect();
+        self.scoped = workers
+            .into_iter()
+            .map(|w| (w, Arc::new(self.set_in(Some(w)))))
+            .collect();
+        self.set = Arc::new(self.set_in(None));
+    }
+
+    /// This program's state in the journal's snapshot form, with every
+    /// unordered collection sorted.
+    fn snapshot(&self, program: &str) -> ProgramSnapshot {
+        let mut patches = self.patches.clone();
+        patches.sort_by_key(|p| {
+            // A `Patch` is plain data, so serializing it cannot fail.
+            #[allow(clippy::expect_used)]
+            let json = serde_json::to_string(p).expect("patches always serialize");
+            (p.site, json)
+        });
+        let mut revoked: Vec<CallSite> = self.revoked.iter().copied().collect();
+        revoked.sort();
+        let mut quarantine: Vec<QuarantineEntry> = self
+            .sites
+            .iter()
+            .map(|(site, st)| QuarantineEntry {
+                site: *site,
+                flaps: st.flaps,
+                window: st.window,
+                denials: st.denials,
+                quarantined: st.quarantined,
+                canary_worker: st.canary.as_ref().map(|(w, _)| *w),
+                canary_patches: st
+                    .canary
+                    .as_ref()
+                    .map(|(_, ps)| ps.clone())
+                    .unwrap_or_default(),
+            })
+            .collect();
+        quarantine.sort_by_key(|e| e.site);
+        ProgramSnapshot {
+            program: program.to_owned(),
+            epoch: self.epoch(),
+            patches,
+            revoked,
+            quarantine,
+        }
+    }
+}
+
+#[derive(Default)]
+struct Pools {
+    programs: HashMap<String, Program>,
     /// Shared empty set handed to readers of unknown programs, so the
     /// miss path builds nothing.
     empty: Arc<PatchSet>,
@@ -186,39 +271,122 @@ struct Pools {
 }
 
 impl Pools {
-    /// `program`'s epoch counter, created at 0 on first use.
-    fn epoch_cell(&mut self, program: &str) -> &Arc<AtomicU64> {
-        self.epoch_by_program.entry(program.to_owned()).or_default()
+    /// `name`'s record, created blank on first use.
+    fn program(&mut self, name: &str) -> &mut Program {
+        self.programs.entry(name.to_owned()).or_default()
     }
+}
 
-    fn bump_epoch(&mut self, program: &str) {
-        self.epoch_cell(program).fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn epoch(&self, program: &str) -> u64 {
-        self.epoch_by_program
-            .get(program)
-            .map_or(0, |e| e.load(Ordering::Relaxed))
-    }
-
-    /// Every program with pool state, sorted. A counter still at 0 (a
-    /// signal handed out for a program never mutated) is not state.
-    fn programs(&self) -> Vec<&String> {
-        let mut programs: Vec<&String> = self
-            .by_program
-            .keys()
-            .chain(
-                self.epoch_by_program
+/// Applies one journal record to the pool state. This is the only code
+/// that changes a patch list, tombstone, flap counter, canary or epoch:
+/// live mutations apply the records they journal, and replay applies
+/// the records it reads. Each epoch-bumping record bumps its program's
+/// epoch exactly once. Quarantine records carry their resulting
+/// counters, so applying one needs no policy. Records that are not pool
+/// state (checkpoints, sentries, ladder, membership) change nothing.
+fn apply(pools: &mut Pools, op: &WalOp) {
+    match op {
+        WalOp::PatchPublish(op) => {
+            let prog = pools.program(&op.program);
+            for p in &op.patches {
+                // A publish implies every carried site was admissible:
+                // clear any tombstone (re-admission) and its denials.
+                prog.revoked.remove(&p.site);
+                if let Some(st) = prog.sites.get_mut(&p.site) {
+                    st.denials = 0;
+                }
+                if !prog.patches.contains(p) {
+                    prog.patches.push(p.clone());
+                }
+            }
+            prog.bump();
+        }
+        WalOp::PatchRevoke(op) => {
+            let prog = pools.program(&op.program);
+            prog.revoked.insert(op.site);
+            prog.patches.retain(|p| p.site != op.site);
+            if op.flaps > 0 {
+                let st = prog.sites.entry(op.site).or_insert_with(|| TRACKED.clone());
+                st.flaps = op.flaps;
+                st.window = op.window;
+                st.denials = 0;
+                st.quarantined = op.quarantined;
+            }
+            prog.bump();
+        }
+        WalOp::PatchRemove(op) => {
+            let prog = pools.program(&op.program);
+            prog.patches.retain(|p| p.site != op.site);
+            prog.bump();
+        }
+        WalOp::SiteDenied(op) => {
+            let prog = pools.program(&op.program);
+            let st = prog.sites.entry(op.site).or_insert_with(|| TRACKED.clone());
+            st.denials = op.denials;
+        }
+        WalOp::CanaryAdmit(op) => {
+            let prog = pools.program(&op.program);
+            let st = prog.sites.entry(op.site).or_insert_with(|| TRACKED.clone());
+            st.canary = Some((op.worker, op.patches.clone()));
+            st.denials = 0;
+            prog.bump();
+        }
+        WalOp::CanaryPromote(op) => {
+            let prog = pools.program(&op.program);
+            let candidate = prog.sites.get_mut(&op.site).and_then(|st| {
+                st.quarantined = false;
+                st.denials = 0;
+                st.canary.take()
+            });
+            prog.revoked.remove(&op.site);
+            for p in candidate.map(|(_, ps)| ps).unwrap_or_default() {
+                if !prog.patches.contains(&p) {
+                    prog.patches.push(p);
+                }
+            }
+            prog.bump();
+        }
+        WalOp::CanaryReject(op) => {
+            if let Some(st) = pools.program(&op.program).sites.get_mut(&op.site) {
+                st.canary = None;
+            }
+        }
+        WalOp::Snapshot(snap) => {
+            // Reset every record in place rather than dropping it: signals
+            // already handed out must keep following their counters.
+            for prog in pools.programs.values_mut() {
+                prog.patches.clear();
+                prog.revoked.clear();
+                prog.sites.clear();
+                prog.epoch.store(0, Ordering::Relaxed);
+            }
+            for s in &snap.programs {
+                let prog = pools.program(&s.program);
+                prog.patches = s.patches.clone();
+                prog.epoch.store(s.epoch, Ordering::Relaxed);
+                prog.revoked = s.revoked.iter().copied().collect();
+                prog.sites = s
+                    .quarantine
                     .iter()
-                    .filter(|(_, e)| e.load(Ordering::Relaxed) > 0)
-                    .map(|(p, _)| p),
-            )
-            .chain(self.revoked_by_program.keys())
-            .chain(self.quarantine_by_program.keys())
-            .collect();
-        programs.sort();
-        programs.dedup();
-        programs
+                    .map(|e| {
+                        let st = SiteState {
+                            flaps: e.flaps,
+                            window: e.window,
+                            denials: e.denials,
+                            quarantined: e.quarantined,
+                            canary: e.canary_worker.map(|w| (w, e.canary_patches.clone())),
+                        };
+                        (e.site, st)
+                    })
+                    .collect();
+            }
+        }
+        WalOp::CheckpointRegister(_)
+        | WalOp::CheckpointPrune(_)
+        | WalOp::SentrySuppress(_)
+        | WalOp::LadderDescend(_)
+        | WalOp::WorkerJoin(_)
+        | WalOp::WorkerLeave(_) => {}
     }
 }
 
@@ -323,84 +491,16 @@ impl PatchPool {
         let mut pools = lock(&self.inner);
         let mut applied = 0usize;
         for record in &records {
-            if Self::apply_record(&mut pools, record) {
+            if record.seq > pools.last_seq {
+                pools.last_seq = record.seq;
+                apply(&mut pools, &record.op);
                 applied += 1;
             }
         }
         if applied > 0 {
-            // Replay bypassed the per-mutation publishes: rebuild every
-            // published entry once.
-            Self::republish_all(&mut pools);
+            pools.programs.values_mut().for_each(Program::republish);
         }
         applied
-    }
-
-    fn set_for(&self, pools: &Pools, program: &str) -> PatchSet {
-        let mut patches: Vec<Patch> = pools
-            .by_program
-            .get(program)
-            .map(|list| list.to_vec())
-            .unwrap_or_default();
-        if let Some(worker) = self.scope {
-            if let Some(sites) = pools.quarantine_by_program.get(program) {
-                for st in sites.values() {
-                    if let Some((w, canary)) = &st.canary {
-                        if *w == worker {
-                            patches.extend(canary.iter().cloned());
-                        }
-                    }
-                }
-            }
-        }
-        PatchSet::from_patches(patches)
-    }
-
-    /// Builds one program's published entry from the writer state: fleet
-    /// set, and merged base+canary overlays for each worker with an
-    /// in-flight canary.
-    fn rebuild_entry(pools: &Pools, program: &str, epoch: Arc<AtomicU64>) -> Published {
-        let base: Vec<Patch> = pools.by_program.get(program).cloned().unwrap_or_default();
-        let mut scoped: HashMap<u64, Arc<PatchSet>> = HashMap::new();
-        if let Some(sites) = pools.quarantine_by_program.get(program) {
-            let mut per_worker: HashMap<u64, Vec<Patch>> = HashMap::new();
-            for st in sites.values() {
-                if let Some((w, canary)) = &st.canary {
-                    per_worker
-                        .entry(*w)
-                        .or_default()
-                        .extend(canary.iter().cloned());
-                }
-            }
-            for (worker, canaries) in per_worker {
-                let mut merged = base.clone();
-                merged.extend(canaries);
-                scoped.insert(worker, Arc::new(PatchSet::from_patches(merged)));
-            }
-        }
-        Published {
-            epoch,
-            set: Arc::new(PatchSet::from_patches(base)),
-            scoped,
-        }
-    }
-
-    /// Rebuilds `program`'s published entry. Called with the pool mutex
-    /// held, after journaling, so locked readers can never observe state
-    /// the journal does not yet hold.
-    fn publish_program(pools: &mut Pools, program: &str) {
-        let epoch = Arc::clone(pools.epoch_cell(program));
-        let entry = Self::rebuild_entry(pools, program, epoch);
-        pools.published.insert(program.to_owned(), entry);
-    }
-
-    /// Rebuilds every published entry from the writer state (journal
-    /// replay). Called with the pool mutex held.
-    fn republish_all(pools: &mut Pools) {
-        let programs: Vec<String> = pools.programs().into_iter().cloned().collect();
-        pools.published.clear();
-        for program in programs {
-            Self::publish_program(pools, &program);
-        }
     }
 
     /// Returns the published patch set for a program (shared empty set
@@ -417,40 +517,46 @@ impl PatchPool {
     /// read, so the epoch always names the set returned with it.
     pub fn get_with_epoch(&self, program: &str) -> (Arc<PatchSet>, u64) {
         let pools = lock(&self.inner);
-        match pools.published.get(program) {
-            Some(entry) => {
+        match pools.programs.get(program) {
+            Some(prog) => {
                 let set = self
                     .scope
-                    .and_then(|w| entry.scoped.get(&w))
-                    .unwrap_or(&entry.set);
-                (Arc::clone(set), entry.epoch.load(Ordering::Relaxed))
+                    .and_then(|w| prog.scoped.get(&w))
+                    .unwrap_or(&prog.set);
+                (Arc::clone(set), prog.epoch())
             }
-            // Every epoch bump publishes its program's entry before the
-            // lock drops, so a program without one is still at epoch 0.
             None => (Arc::clone(&pools.empty), 0),
         }
     }
 
-    /// Locked read that rebuilds the set from the writer-side state
+    /// Locked read that builds the set from the patch list and canaries
     /// instead of handing out the published one. It is the oracle the
-    /// published entries are checked against.
+    /// published sets are checked against.
     pub fn get_locked_with_epoch(&self, program: &str) -> (PatchSet, u64) {
         let pools = lock(&self.inner);
-        (self.set_for(&pools, program), pools.epoch(program))
+        pools
+            .programs
+            .get(program)
+            .map_or_else(Default::default, |prog| {
+                (prog.set_in(self.scope), prog.epoch())
+            })
     }
 
     /// Returns the per-program mutation counter (0 for an unknown
     /// program). One locked lookup; a worker that polls the epoch per
     /// input holds an [`EpochSignal`] instead.
     pub fn epoch(&self, program: &str) -> u64 {
-        lock(&self.inner).epoch(program)
+        lock(&self.inner)
+            .programs
+            .get(program)
+            .map_or(0, Program::epoch)
     }
 
     /// Hands out `program`'s [`EpochSignal`]: a read-only view of the
     /// pool's own epoch counter for the program, so every later publish
     /// moves it.
     pub fn epoch_signal(&self, program: &str) -> EpochSignal {
-        EpochSignal(Arc::clone(lock(&self.inner).epoch_cell(program)))
+        EpochSignal(Arc::clone(&lock(&self.inner).program(program).epoch))
     }
 
     /// Holds the pool mutex until the returned guard drops.
@@ -463,9 +569,9 @@ impl PatchPool {
     /// excluded — they are not fleet state yet).
     pub fn len(&self, program: &str) -> usize {
         lock(&self.inner)
-            .published
+            .programs
             .get(program)
-            .map_or(0, |e| e.set.len())
+            .map_or(0, |prog| prog.set.len())
     }
 
     /// Returns `true` if no patches are stored for the program.
@@ -482,101 +588,60 @@ impl PatchPool {
     /// (canaries included).
     pub fn add(&self, program: &str, patches: impl IntoIterator<Item = Patch>) -> usize {
         let mut pools = lock(&self.inner);
+        let policy = pools.policy;
         let mut ops: Vec<WalOp> = Vec::new();
         let mut published: Vec<Patch> = Vec::new();
         let mut canaried = 0usize;
         let mut skipped_revoked = 0usize;
 
         for p in patches {
-            let revoked = pools
-                .revoked_by_program
-                .get(program)
-                .is_some_and(|s| s.contains(&p.site));
-            if !revoked {
-                let list = pools.by_program.entry(program.to_owned()).or_default();
-                if !list.contains(&p) && !published.contains(&p) {
-                    published.push(p);
-                }
-                continue;
-            }
-            if pools.policy.is_none() {
+            let prog = pools.program(program);
+            // A site re-admitted earlier in this call counts as admitted.
+            let revoked =
+                prog.revoked.contains(&p.site) && !published.iter().any(|q| q.site == p.site);
+            let st = prog.site(p.site);
+            let op = if !revoked {
+                None
+            } else if policy.is_none()
+                || (st.quarantined && (self.scope.is_none() || st.canary.is_some()))
+            {
+                // Without a policy a tombstone is permanent. A quarantined
+                // site is re-admitted only as a canary, one at a time.
                 skipped_revoked += 1;
                 continue;
-            }
-            let scope = self.scope;
-            let gate = {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(program.to_owned())
-                    .or_default()
-                    .entry(p.site)
-                    .or_insert_with(SiteState::tracked);
-                if st.quarantined {
-                    match scope {
-                        // Fleet-wide publication of a quarantined site is
-                        // always refused: re-admission goes via a canary.
-                        None => Gate::Refuse,
-                        Some(worker) => {
-                            if st.canary.is_some() {
-                                Gate::Refuse
-                            } else if st.denials < st.window {
-                                st.denials += 1;
-                                Gate::Deny(st.denials)
-                            } else {
-                                st.denials = 0;
-                                Gate::Canary(worker)
-                            }
-                        }
-                    }
-                } else if st.denials < st.window {
-                    st.denials += 1;
-                    Gate::Deny(st.denials)
-                } else {
-                    st.denials = 0;
-                    Gate::Publish
-                }
+            } else if st.denials < st.window {
+                skipped_revoked += 1;
+                Some(WalOp::SiteDenied(DenyOp {
+                    program: program.to_owned(),
+                    site: p.site,
+                    denials: st.denials + 1,
+                }))
+            } else if let Some(worker) = self.scope.filter(|_| st.quarantined) {
+                canaried += 1;
+                log::warn(format!(
+                    "patch pool for {program}: quarantined site re-admitted \
+                     as a canary on worker {worker}"
+                ));
+                Some(WalOp::CanaryAdmit(CanaryOp {
+                    program: program.to_owned(),
+                    site: p.site,
+                    worker,
+                    patches: vec![p.clone()],
+                }))
+            } else {
+                // The denial window was served: the site may try again
+                // fleet-wide, and the publish clears its tombstone.
+                None
             };
-            match gate {
-                Gate::Refuse => skipped_revoked += 1,
-                Gate::Deny(denials) => {
-                    skipped_revoked += 1;
-                    ops.push(WalOp::SiteDenied(DenyOp {
-                        program: program.to_owned(),
-                        site: p.site,
-                        denials,
-                    }));
+            match op {
+                // Applied at once: a later patch at the same site in this
+                // call sees the denial or the canary.
+                Some(op) => {
+                    apply(&mut pools, &op);
+                    ops.push(op);
                 }
-                Gate::Canary(worker) => {
-                    let site = p.site;
-                    let candidate = vec![p];
-                    if let Some(st) = pools
-                        .quarantine_by_program
-                        .get_mut(program)
-                        .and_then(|m| m.get_mut(&site))
-                    {
-                        st.canary = Some((worker, candidate.clone()));
-                    }
-                    canaried += candidate.len();
-                    pools.bump_epoch(program);
-                    log::warn(format!(
-                        "patch pool for {program}: quarantined site re-admitted \
-                         as a canary on worker {worker}"
-                    ));
-                    ops.push(WalOp::CanaryAdmit(CanaryOp {
-                        program: program.to_owned(),
-                        site,
-                        worker,
-                        patches: candidate,
-                    }));
-                }
-                Gate::Publish => {
-                    // The denial window was served: the site may try again
-                    // fleet-wide. Clear the tombstone and admit normally.
-                    if let Some(set) = pools.revoked_by_program.get_mut(program) {
-                        set.remove(&p.site);
-                    }
-                    let list = pools.by_program.entry(program.to_owned()).or_default();
-                    if !list.contains(&p) && !published.contains(&p) {
+                None => {
+                    if !prog.patches.contains(&p) && !published.contains(&p) {
                         published.push(p);
                     }
                 }
@@ -588,21 +653,18 @@ impl PatchPool {
                 "patch pool for {program}: refused {skipped_revoked} patch(es) at revoked call-site(s)"
             ));
         }
-        if !published.is_empty() {
-            let list = pools.by_program.entry(program.to_owned()).or_default();
-            list.extend(published.iter().cloned());
-            pools.bump_epoch(program);
-            ops.push(WalOp::PatchPublish(PublishOp {
-                program: program.to_owned(),
-                patches: published.clone(),
-            }));
-        }
         let added = published.len() + canaried;
+        if !published.is_empty() {
+            let op = WalOp::PatchPublish(PublishOp {
+                program: program.to_owned(),
+                patches: published,
+            });
+            apply(&mut pools, &op);
+            ops.push(op);
+        }
         self.journal_ops(&mut pools, ops);
         if added > 0 {
-            // Journal, then publish, both under the mutex: readers can
-            // never observe state the journal does not yet hold.
-            Self::publish_program(&mut pools, program);
+            pools.program(program).republish();
         }
         added
     }
@@ -618,67 +680,44 @@ impl PatchPool {
     /// the site was already revoked and held no patches.
     pub fn revoke(&self, program: &str, site: CallSite) -> bool {
         let mut pools = lock(&self.inner);
-        let newly_tombstoned = pools
-            .revoked_by_program
-            .entry(program.to_owned())
-            .or_default()
-            .insert(site);
-        let removed = match pools.by_program.get_mut(program) {
-            Some(list) => {
-                let before = list.len();
-                list.retain(|p| p.site != site);
-                list.len() != before
-            }
-            None => false,
-        };
-        let canary_cancelled = pools.policy.is_some()
-            && pools
-                .quarantine_by_program
-                .get_mut(program)
-                .and_then(|m| m.get_mut(&site))
-                .is_some_and(|st| st.canary.take().is_some());
-        if !newly_tombstoned && !removed && !canary_cancelled {
+        let policy = pools.policy;
+        let prog = pools.program(program);
+        let st = prog.site(site);
+        let canary_cancelled = policy.is_some() && st.canary.is_some();
+        if prog.revoked.contains(&site)
+            && !prog.patches.iter().any(|p| p.site == site)
+            && !canary_cancelled
+        {
             return false;
         }
         let mut ops: Vec<WalOp> = Vec::new();
-        let mut flap = (0u32, 0u32, false);
-        if let Some(policy) = pools.policy {
+        let mut revoke = RevokeOp {
+            program: program.to_owned(),
+            site,
+            flaps: 0,
+            window: 0,
+            quarantined: false,
+        };
+        if let Some(policy) = policy {
             if canary_cancelled {
                 ops.push(WalOp::CanaryReject(SiteOp {
                     program: program.to_owned(),
                     site,
                 }));
             }
-            let st = pools
-                .quarantine_by_program
-                .entry(program.to_owned())
-                .or_default()
-                .entry(site)
-                .or_insert_with(SiteState::tracked);
-            st.flaps += 1;
-            st.denials = 0;
-            st.window = (1u32 << (st.flaps - 1).min(16)).min(policy.max_window.max(1));
-            let was_quarantined = st.quarantined;
-            st.quarantined = st.flaps >= policy.quarantine_after;
-            flap = (st.flaps, st.window, st.quarantined);
-            if st.quarantined && !was_quarantined {
+            revoke.flaps = st.flaps + 1;
+            revoke.window = (1u32 << (revoke.flaps - 1).min(16)).min(policy.max_window.max(1));
+            revoke.quarantined = revoke.flaps >= policy.quarantine_after;
+            if revoke.quarantined && !st.quarantined {
                 log::warn(format!(
                     "patch pool for {program}: site flapped {} times, quarantined \
                      (re-admission is canary-only)",
-                    st.flaps
+                    revoke.flaps
                 ));
             }
         }
-        ops.push(WalOp::PatchRevoke(RevokeOp {
-            program: program.to_owned(),
-            site,
-            flaps: flap.0,
-            window: flap.1,
-            quarantined: flap.2,
-        }));
-        pools.bump_epoch(program);
-        self.journal_ops(&mut pools, ops);
-        Self::publish_program(&mut pools, program);
+        ops.push(WalOp::PatchRevoke(revoke));
+        self.commit(&mut pools, program, ops);
         true
     }
 
@@ -690,122 +729,93 @@ impl PatchPool {
     pub fn confirm_canary(&self, program: &str) -> usize {
         let Some(worker) = self.scope else { return 0 };
         let mut pools = lock(&self.inner);
-        let sites: Vec<CallSite> = pools
-            .quarantine_by_program
-            .get(program)
-            .map(|m| {
-                m.iter()
-                    .filter(|(_, st)| st.canary.as_ref().is_some_and(|(w, _)| *w == worker))
-                    .map(|(site, _)| *site)
-                    .collect()
+        let prog = pools.program(program);
+        let before = prog.patches.len();
+        let ops: Vec<WalOp> = prog
+            .sites
+            .iter()
+            .filter(|(_, st)| st.canary.as_ref().is_some_and(|(w, _)| *w == worker))
+            .map(|(site, _)| {
+                WalOp::CanaryPromote(SiteOp {
+                    program: program.to_owned(),
+                    site: *site,
+                })
             })
-            .unwrap_or_default();
-        if sites.is_empty() {
+            .collect();
+        if ops.is_empty() {
             return 0;
         }
-        let mut ops: Vec<WalOp> = Vec::new();
-        let mut promoted = 0usize;
-        for site in sites {
-            let Some((_, candidate)) = pools
-                .quarantine_by_program
-                .get_mut(program)
-                .and_then(|m| m.get_mut(&site))
-                .and_then(|st| {
-                    st.quarantined = false;
-                    st.denials = 0;
-                    st.canary.take()
-                })
-            else {
-                continue;
-            };
-            if let Some(set) = pools.revoked_by_program.get_mut(program) {
-                set.remove(&site);
-            }
-            let list = pools.by_program.entry(program.to_owned()).or_default();
-            for p in candidate {
-                if !list.contains(&p) {
-                    list.push(p);
-                    promoted += 1;
-                }
-            }
-            pools.bump_epoch(program);
+        for _ in &ops {
             log::warn(format!(
                 "patch pool for {program}: canary on worker {worker} validated; \
                  patches promoted fleet-wide"
             ));
-            ops.push(WalOp::CanaryPromote(SiteOp {
-                program: program.to_owned(),
-                site,
-            }));
         }
-        if !ops.is_empty() {
-            self.journal_ops(&mut pools, ops);
-            Self::publish_program(&mut pools, program);
-        }
-        promoted
+        self.commit(&mut pools, program, ops);
+        pools.program(program).patches.len() - before
     }
 
     /// Returns `true` if patches at `site` have been revoked.
     pub fn is_revoked(&self, program: &str, site: CallSite) -> bool {
         lock(&self.inner)
-            .revoked_by_program
+            .programs
             .get(program)
-            .is_some_and(|s| s.contains(&site))
+            .is_some_and(|prog| prog.revoked.contains(&site))
     }
 
     /// Number of revoked (tombstoned) call-sites for a program.
     pub fn revoked_count(&self, program: &str) -> usize {
         lock(&self.inner)
-            .revoked_by_program
+            .programs
             .get(program)
-            .map_or(0, HashSet::len)
+            .map_or(0, |prog| prog.revoked.len())
     }
 
     /// Returns `true` if `site` is quarantined (canary-only re-admission).
     pub fn is_quarantined(&self, program: &str, site: CallSite) -> bool {
-        lock(&self.inner)
-            .quarantine_by_program
-            .get(program)
-            .and_then(|m| m.get(&site))
-            .is_some_and(|st| st.quarantined)
+        self.site_state(program, site, |st| st.quarantined)
+            .unwrap_or(false)
     }
 
     /// Fleet-wide flap count of `site` (revocations under the policy).
     pub fn flap_count(&self, program: &str, site: CallSite) -> u32 {
-        lock(&self.inner)
-            .quarantine_by_program
-            .get(program)
-            .and_then(|m| m.get(&site))
-            .map_or(0, |st| st.flaps)
+        self.site_state(program, site, |st| st.flaps).unwrap_or(0)
     }
 
     /// Returns `true` if a canary for `site` is in flight.
     pub fn has_canary(&self, program: &str, site: CallSite) -> bool {
-        lock(&self.inner)
-            .quarantine_by_program
+        self.site_state(program, site, |st| st.canary.is_some())
+            .unwrap_or(false)
+    }
+
+    fn site_state<T>(
+        &self,
+        program: &str,
+        site: CallSite,
+        read: impl FnOnce(&SiteState) -> T,
+    ) -> Option<T> {
+        let pools = lock(&self.inner);
+        pools
+            .programs
             .get(program)
-            .and_then(|m| m.get(&site))
-            .is_some_and(|st| st.canary.is_some())
+            .and_then(|prog| prog.sites.get(&site))
+            .map(read)
     }
 
     /// Removes all patches at the given call-site (validation failure).
     pub fn remove_site(&self, program: &str, site: fa_proc::CallSite) {
         let mut pools = lock(&self.inner);
-        let Some(list) = pools.by_program.get_mut(program) else {
-            return;
-        };
-        let before = list.len();
-        list.retain(|p| p.site != site);
-        if list.len() == before {
-            return;
+        let holds_site = pools
+            .programs
+            .get(program)
+            .is_some_and(|prog| prog.patches.iter().any(|p| p.site == site));
+        if holds_site {
+            let op = WalOp::PatchRemove(SiteOp {
+                program: program.to_owned(),
+                site,
+            });
+            self.commit(&mut pools, program, vec![op]);
         }
-        pools.bump_epoch(program);
-        let ops = vec![WalOp::PatchRemove(SiteOp {
-            program: program.to_owned(),
-            site,
-        })];
-        self.journal_ops(&mut pools, ops);
-        Self::publish_program(&mut pools, program);
     }
 
     /// Canonical JSON of one program's complete pool state (patches,
@@ -816,67 +826,21 @@ impl PatchPool {
     // serializing it cannot fail.
     #[allow(clippy::expect_used)]
     pub fn export_state(&self, program: &str) -> String {
-        let pools = lock(&self.inner);
-        let snap = Self::program_snapshot(&pools, program);
+        let snap = lock(&self.inner).program(program).snapshot(program);
         serde_json::to_string(&snap).expect("pool state always serializes")
     }
 
-    fn program_snapshot(pools: &Pools, program: &str) -> ProgramSnapshot {
-        let mut patches = pools.by_program.get(program).cloned().unwrap_or_default();
-        patches.sort_by_key(|p| {
-            // A `Patch` is plain data, so serializing it cannot fail.
-            #[allow(clippy::expect_used)]
-            let json = serde_json::to_string(p).expect("patches always serialize");
-            (p.site, json)
-        });
-        let mut revoked: Vec<CallSite> = pools
-            .revoked_by_program
-            .get(program)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        revoked.sort();
-        let mut quarantine: Vec<QuarantineEntry> = pools
-            .quarantine_by_program
-            .get(program)
-            .map(|m| {
-                m.iter()
-                    .map(|(site, st)| QuarantineEntry {
-                        site: *site,
-                        flaps: st.flaps,
-                        window: st.window,
-                        denials: st.denials,
-                        quarantined: st.quarantined,
-                        canary_worker: st.canary.as_ref().map(|(w, _)| *w),
-                        canary_patches: st
-                            .canary
-                            .as_ref()
-                            .map(|(_, ps)| ps.clone())
-                            .unwrap_or_default(),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        quarantine.sort_by_key(|e| e.site);
-        ProgramSnapshot {
-            program: program.to_owned(),
-            epoch: pools.epoch(program),
-            patches,
-            revoked,
-            quarantine,
+    /// The rest of a live mutation once its records are decided: apply
+    /// them, journal them and rebuild the program's published sets.
+    fn commit(&self, pools: &mut Pools, program: &str, ops: Vec<WalOp>) {
+        for op in &ops {
+            apply(pools, op);
         }
+        self.journal_ops(pools, ops);
+        pools.program(program).republish();
     }
 
-    fn full_snapshot(pools: &Pools) -> PoolSnapshot {
-        PoolSnapshot {
-            programs: pools
-                .programs()
-                .into_iter()
-                .map(|p| Self::program_snapshot(pools, p))
-                .collect(),
-        }
-    }
-
-    /// Appends the mutation records just produced (in mutation order,
+    /// Appends the records a mutation just applied (in mutation order,
     /// under the pool lock so journal order matches observation order),
     /// advancing the replay watermark, and compacts when due.
     fn journal_ops(&self, pools: &mut Pools, ops: Vec<WalOp>) {
@@ -887,178 +851,17 @@ impl PatchPool {
             }
         }
         if wal.needs_compaction() {
-            let snapshot = Self::full_snapshot(pools);
-            if let Some(seq) = wal.compact(snapshot) {
+            let mut programs: Vec<ProgramSnapshot> = pools
+                .programs
+                .iter()
+                .filter(|(_, prog)| !prog.is_blank())
+                .map(|(name, prog)| prog.snapshot(name))
+                .collect();
+            programs.sort_by(|a, b| a.program.cmp(&b.program));
+            if let Some(seq) = wal.compact(PoolSnapshot { programs }) {
                 pools.last_seq = seq;
             }
         }
-    }
-
-    /// Applies one journal record to the pool state; `false` if it was
-    /// at or below the watermark (already applied). Quarantine records
-    /// carry their resulting counters, so replay needs no policy.
-    fn apply_record(pools: &mut Pools, record: &WalRecord) -> bool {
-        if record.seq <= pools.last_seq {
-            return false;
-        }
-        pools.last_seq = record.seq;
-        match &record.op {
-            WalOp::PatchPublish(op) => {
-                // A publish implies every carried site was admissible:
-                // clear any tombstone (re-admission) and its denials.
-                for p in &op.patches {
-                    if let Some(set) = pools.revoked_by_program.get_mut(&op.program) {
-                        set.remove(&p.site);
-                    }
-                    if let Some(st) = pools
-                        .quarantine_by_program
-                        .get_mut(&op.program)
-                        .and_then(|m| m.get_mut(&p.site))
-                    {
-                        st.denials = 0;
-                    }
-                }
-                let list = pools.by_program.entry(op.program.clone()).or_default();
-                for p in &op.patches {
-                    if !list.contains(p) {
-                        list.push(p.clone());
-                    }
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::PatchRevoke(op) => {
-                pools
-                    .revoked_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .insert(op.site);
-                if let Some(list) = pools.by_program.get_mut(&op.program) {
-                    list.retain(|p| p.site != op.site);
-                }
-                if op.flaps > 0 {
-                    let st = pools
-                        .quarantine_by_program
-                        .entry(op.program.clone())
-                        .or_default()
-                        .entry(op.site)
-                        .or_insert_with(SiteState::tracked);
-                    st.flaps = op.flaps;
-                    st.window = op.window;
-                    st.denials = 0;
-                    st.quarantined = op.quarantined;
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::PatchRemove(op) => {
-                if let Some(list) = pools.by_program.get_mut(&op.program) {
-                    list.retain(|p| p.site != op.site);
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::SiteDenied(op) => {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .entry(op.site)
-                    .or_insert_with(SiteState::tracked);
-                st.denials = op.denials;
-            }
-            WalOp::CanaryAdmit(op) => {
-                let st = pools
-                    .quarantine_by_program
-                    .entry(op.program.clone())
-                    .or_default()
-                    .entry(op.site)
-                    .or_insert_with(SiteState::tracked);
-                st.canary = Some((op.worker, op.patches.clone()));
-                st.denials = 0;
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::CanaryPromote(op) => {
-                let candidate = pools
-                    .quarantine_by_program
-                    .get_mut(&op.program)
-                    .and_then(|m| m.get_mut(&op.site))
-                    .and_then(|st| {
-                        st.quarantined = false;
-                        st.denials = 0;
-                        st.canary.take()
-                    });
-                if let Some(set) = pools.revoked_by_program.get_mut(&op.program) {
-                    set.remove(&op.site);
-                }
-                if let Some((_, patches)) = candidate {
-                    let list = pools.by_program.entry(op.program.clone()).or_default();
-                    for p in patches {
-                        if !list.contains(&p) {
-                            list.push(p);
-                        }
-                    }
-                }
-                pools.bump_epoch(&op.program);
-            }
-            WalOp::CanaryReject(op) => {
-                if let Some(st) = pools
-                    .quarantine_by_program
-                    .get_mut(&op.program)
-                    .and_then(|m| m.get_mut(&op.site))
-                {
-                    st.canary = None;
-                }
-            }
-            WalOp::Snapshot(snap) => {
-                pools.by_program.clear();
-                pools.revoked_by_program.clear();
-                pools.quarantine_by_program.clear();
-                // Reset the counters in place: signals already handed
-                // out must keep following them.
-                for epoch in pools.epoch_by_program.values() {
-                    epoch.store(0, Ordering::Relaxed);
-                }
-                for prog in &snap.programs {
-                    pools
-                        .by_program
-                        .insert(prog.program.clone(), prog.patches.clone());
-                    pools
-                        .epoch_cell(&prog.program)
-                        .store(prog.epoch, Ordering::Relaxed);
-                    pools
-                        .revoked_by_program
-                        .insert(prog.program.clone(), prog.revoked.iter().copied().collect());
-                    let sites: HashMap<CallSite, SiteState> = prog
-                        .quarantine
-                        .iter()
-                        .map(|e| {
-                            (
-                                e.site,
-                                SiteState {
-                                    flaps: e.flaps,
-                                    window: e.window,
-                                    denials: e.denials,
-                                    quarantined: e.quarantined,
-                                    canary: e.canary_worker.map(|w| (w, e.canary_patches.clone())),
-                                },
-                            )
-                        })
-                        .collect();
-                    if !sites.is_empty() {
-                        pools
-                            .quarantine_by_program
-                            .insert(prog.program.clone(), sites);
-                    }
-                }
-            }
-            // Runtime/fleet records: not pool state, only the watermark
-            // advances (so replay order stays strict).
-            WalOp::CheckpointRegister(_)
-            | WalOp::CheckpointPrune(_)
-            | WalOp::SentrySuppress(_)
-            | WalOp::LadderDescend(_)
-            | WalOp::WorkerJoin(_)
-            | WalOp::WorkerLeave(_) => {}
-        }
-        true
     }
 }
 
@@ -1618,5 +1421,111 @@ mod tests {
         assert_eq!(worker0.epoch_signal("apache").get(), last);
         assert_eq!(pool.epoch_signal("squid").get(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `pool`'s exported state for `program` and its published set and
+    /// epoch in each scope, each set checked against the locked oracle
+    /// and listed in a canonical order (a replayed pool's canary overlays
+    /// may list sites in another order).
+    fn views(pool: &PatchPool, program: &str) -> Vec<String> {
+        let canonical = |patches: &[Patch]| {
+            let mut json: Vec<String> = patches
+                .iter()
+                .map(|p| serde_json::to_string(p).unwrap())
+                .collect();
+            json.sort();
+            json.join(",")
+        };
+        let mut views = vec![pool.export_state(program)];
+        for view in [pool.clone(), pool.for_worker(1), pool.for_worker(2)] {
+            let (set, epoch) = view.get_with_epoch(program);
+            let (locked, locked_epoch) = view.get_locked_with_epoch(program);
+            assert_eq!(epoch, locked_epoch, "published epoch is the oracle's");
+            assert_eq!(
+                set.patches(),
+                locked.patches(),
+                "published set is the oracle's"
+            );
+            views.push(format!("{epoch}: {}", canonical(set.patches())));
+        }
+        views
+    }
+
+    #[test]
+    fn live_and_replayed_pools_agree_after_every_call() {
+        // Random interleavings of every mutation over 2 programs, 3 sites
+        // and worker scopes {none, 1, 2}. After each call, a pool opened
+        // on the same journal must hold exactly the live pool's state.
+        const SEEDS: u64 = 20;
+        const CALLS: usize = 150;
+        let programs = ["apache", "squid"];
+        let bugs = [BugType::DanglingRead, BugType::BufferOverflow];
+        let (mut canaries, mut promotions) = (0, 0);
+        for seed in 0..SEEDS {
+            // splitmix64: a seeded stream without a test-only dependency.
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let dir = journal_dir(&format!("agree-{seed}"));
+            let wal = Wal::open(dir.join("pool.wal")).unwrap();
+            wal.set_compact_every([0, 3, 7][seed as usize % 3]);
+            let pool = PatchPool::with_journal(wal);
+            if seed % 2 == 0 {
+                pool.enable_quarantine(QuarantinePolicy {
+                    quarantine_after: 2,
+                    max_window: 4,
+                });
+            }
+            for step in 0..CALLS {
+                let program = programs[next(2) as usize];
+                let view = match next(3) {
+                    0 => pool.clone(),
+                    w => pool.for_worker(w),
+                };
+                let site = 1 + next(3);
+                let before = (1..=3).any(|s| pool.has_canary(program, CallSite([s, 0, 0])));
+                let call = match next(8) {
+                    0..=2 => {
+                        let patches: Vec<Patch> = (0..1 + next(3))
+                            .map(|_| patch(bugs[next(2) as usize], 1 + next(3)))
+                            .collect();
+                        view.add(program, patches);
+                        "add"
+                    }
+                    3 | 4 => {
+                        view.revoke(program, CallSite([site, 0, 0]));
+                        "revoke"
+                    }
+                    5 | 6 => {
+                        promotions += usize::from(view.confirm_canary(program) > 0);
+                        "confirm_canary"
+                    }
+                    _ => {
+                        view.remove_site(program, CallSite([site, 0, 0]));
+                        "remove_site"
+                    }
+                };
+                let after = (1..=3).any(|s| pool.has_canary(program, CallSite([s, 0, 0])));
+                canaries += usize::from(!before && after);
+                let replayed = PatchPool::with_journal(pool.journal().unwrap().clone());
+                for program in programs {
+                    assert_eq!(
+                        views(&replayed, program),
+                        views(&pool, program),
+                        "seed {seed}, step {step} ({call}): replay diverged on {program}"
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(
+            canaries > 0 && promotions > 0,
+            "the interleavings reach canaries ({canaries}) and promotions ({promotions})"
+        );
     }
 }

@@ -30,6 +30,17 @@ use crate::patchpool::{EpochSignal, PatchPool};
 use crate::report::BugReport;
 use crate::validate::ValidationOutcome;
 
+/// Quarantine budget while program-wide generic patches are active:
+/// best-effort delay-free quarantines *every* free, so it needs a far
+/// larger window to span the same error-propagation distance.
+const GENERIC_QUARANTINE_BYTES: u64 = 16 << 20;
+
+/// Health monitor: after how many failures with the same bug signature
+/// the installed patches are revoked as ineffective and the ladder
+/// descends one rung (the first failure of a signature is what
+/// *creates* its patches).
+const PATCH_RECURRENCE_LIMIT: u32 = 2;
+
 /// Configuration of the First-Aid runtime.
 #[derive(Clone, Debug)]
 pub struct FirstAidConfig {
@@ -45,10 +56,6 @@ pub struct FirstAidConfig {
     pub validation_iterations: usize,
     /// Delay-free quarantine byte budget (1 MB in the paper).
     pub quarantine_bytes: u64,
-    /// Quarantine budget while program-wide generic patches are active:
-    /// best-effort delay-free quarantines *every* free, so it needs a
-    /// far larger window to span the same error-propagation distance.
-    pub generic_quarantine_bytes: u64,
     /// Run the heap-integrity error monitor every N served inputs
     /// (0 disables it). A stronger monitor catches metadata corruption
     /// closer to the bug-triggering point, shortening error-propagation
@@ -59,11 +66,6 @@ pub struct FirstAidConfig {
     /// Journal I/O faults ride on the pool's `Wal` instead
     /// (`Wal::with_faults`). [`FaultPlan::none`] in production.
     pub faults: FaultPlan,
-    /// Health monitor: after how many failures with the same bug
-    /// signature the installed patches are revoked as ineffective and
-    /// the ladder descends one rung (minimum 2: the first failure of a
-    /// signature is what *creates* its patches).
-    pub patch_recurrence_limit: u32,
     /// Declare the runtime restart-worthy after this many consecutive
     /// dropped inputs (rung 4; fleet workers relaunch on it; 0 never).
     pub restart_after_drops: usize,
@@ -82,10 +84,8 @@ impl Default for FirstAidConfig {
             engine: EngineConfig::default(),
             validation_iterations: 3,
             quarantine_bytes: fa_allocext::DEFAULT_QUARANTINE_BYTES,
-            generic_quarantine_bytes: 16 << 20,
             integrity_check_every: 0,
             faults: FaultPlan::none(),
-            patch_recurrence_limit: 2,
             restart_after_drops: 4,
             sentry: None,
         }
@@ -407,9 +407,7 @@ impl FirstAidRuntime {
     /// would recycle poisoned blocks far too early).
     fn install_patchset(&mut self, patches: std::sync::Arc<PatchSet>) {
         let threshold = if patches.has_generic() {
-            self.config
-                .quarantine_bytes
-                .max(self.config.generic_quarantine_bytes)
+            self.config.quarantine_bytes.max(GENERIC_QUARANTINE_BYTES)
         } else {
             self.config.quarantine_bytes
         };

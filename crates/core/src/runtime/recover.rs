@@ -11,7 +11,7 @@ use crate::log;
 use crate::report::BugReport;
 use crate::validate::ValidationEngine;
 
-use super::{FirstAidRuntime, RecoveryKind, RecoveryRecord};
+use super::{FirstAidRuntime, RecoveryKind, RecoveryRecord, PATCH_RECURRENCE_LIMIT};
 
 impl FirstAidRuntime {
     /// Health-monitor key for a failure: fault class + failing op code.
@@ -111,7 +111,7 @@ impl FirstAidRuntime {
             entry.count += 1;
             entry.count
         };
-        if recurrence >= self.config.patch_recurrence_limit.max(2) {
+        if recurrence >= PATCH_RECURRENCE_LIMIT {
             let sites = self
                 .monitor
                 .get_mut(&sig)

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use fa_mem::{Addr, Perms, RegionId, SimMemory, PAGE_SIZE};
+use fa_mem::{Addr, RegionId, SimMemory};
 
 use crate::chunk::{request_to_chunk_size, ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
 use crate::error::{CorruptKind, HeapError, InvalidFreeKind};
@@ -16,43 +16,11 @@ use crate::error::{CorruptKind, HeapError, InvalidFreeKind};
 /// memory observe this garbage instead of the old contents.
 const FREE_COOKIE: u64 = 0xfeed_face_cafe_beef;
 
-/// Bytes of free-list cookie at the start of a freed chunk's user area
-/// (two `u64`s, see [`FREE_COOKIE`]). Freed-page poisoning must spare
-/// them alongside the header.
-const COOKIE_SPAN: u64 = 16;
+/// Bytes mapped when a heap is created.
+const INITIAL_BYTES: u64 = 64 * 1024;
 
-/// Tuning knobs for a [`Heap`].
-#[derive(Clone, Debug)]
-pub struct HeapConfig {
-    /// Initial mapped size in bytes.
-    pub initial: u64,
-    /// Granularity of `sbrk` growth in bytes.
-    pub grow_granularity: u64,
-    /// Maximum heap size in bytes; growth beyond this reports
-    /// [`HeapError::OutOfMemory`].
-    pub limit: u64,
-    /// Flip pages of binned free chunks to [`Perms::POISONED`] so
-    /// dangling accesses trap ([`fa_mem::MemFault::GuardTrap`]) instead
-    /// of silently reading stale contents — an "electric fence" on the
-    /// ordinary heap, complementing the sentry arena. Only pages lying
-    /// fully inside a chunk's interior (past the boundary tag and the
-    /// free-list cookies) are flipped, so allocator metadata stays
-    /// accessible; small chunks therefore contribute nothing. Off by
-    /// default: production and diagnosis runs expect freed memory to
-    /// stay readable (quarantine scans, heap marking).
-    pub poison_freed_pages: bool,
-}
-
-impl Default for HeapConfig {
-    fn default() -> Self {
-        HeapConfig {
-            initial: 64 * 1024,
-            grow_granularity: 64 * 1024,
-            limit: 1 << 30,
-            poison_freed_pages: false,
-        }
-    }
-}
+/// Granularity of `sbrk` growth in bytes.
+const GROW_GRANULARITY: u64 = 64 * 1024;
 
 /// Aggregate allocator statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,7 +53,9 @@ pub struct Heap {
     base: Addr,
     brk: Addr,
     region: RegionId,
-    config: HeapConfig,
+    /// Maximum heap size in bytes; growth beyond this reports
+    /// [`HeapError::OutOfMemory`].
+    limit: u64,
     /// Address of the top chunk; spans `[top, brk)`.
     top: Addr,
     /// Free chunks (excluding top): total size → chunk addresses.
@@ -146,29 +116,14 @@ impl SentryHook {
 }
 
 impl Heap {
-    /// Creates a heap at `base` with the default configuration and the
-    /// given size `limit`.
+    /// Creates a heap at `base` that may grow to `limit` bytes.
     pub fn new(mem: &mut SimMemory, base: Addr, limit: u64) -> Result<Heap, HeapError> {
-        let config = HeapConfig {
-            limit,
-            ..HeapConfig::default()
-        };
-        Heap::with_config(mem, base, config)
-    }
-
-    /// Creates a heap at `base` with an explicit configuration.
-    pub fn with_config(
-        mem: &mut SimMemory,
-        base: Addr,
-        config: HeapConfig,
-    ) -> Result<Heap, HeapError> {
         assert!(base.is_aligned(ALIGN), "heap base must be 16-byte aligned");
-        assert!(config.initial >= MIN_CHUNK + HDR_SIZE);
-        let region = mem.map(base, config.initial, "heap")?;
-        let brk = base.offset(config.initial);
+        let region = mem.map(base, INITIAL_BYTES, "heap")?;
+        let brk = base.offset(INITIAL_BYTES);
         ChunkHeader {
             prev_size: 0,
-            size: config.initial,
+            size: INITIAL_BYTES,
             in_use: false,
             // There is no previous chunk; claiming it is in use stops
             // coalescing from walking off the heap start.
@@ -184,10 +139,10 @@ impl Heap {
             rng: None,
             sentry: None,
             stats: HeapStats {
-                heap_bytes: config.initial,
+                heap_bytes: INITIAL_BYTES,
                 ..HeapStats::default()
             },
-            config,
+            limit,
         })
     }
 
@@ -263,7 +218,7 @@ impl Heap {
 
     /// Allocates `req` bytes and returns the user pointer.
     pub fn malloc(&mut self, mem: &mut SimMemory, req: u64) -> Result<Addr, HeapError> {
-        if req > self.config.limit {
+        if req > self.limit {
             return Err(HeapError::OutOfMemory { requested: req });
         }
         let mut csize = request_to_chunk_size(req);
@@ -271,7 +226,7 @@ impl Heap {
             // Random slack keeps requests legal but shifts later layout.
             csize += u64::from(rng.random_range(0u32..4)) * ALIGN;
         }
-        let user = match self.pick_bin(mem, csize) {
+        let user = match self.pick_bin(csize) {
             Some((bin_size, chunk)) => self.alloc_from_bin(mem, chunk, bin_size, csize)?,
             None => self.alloc_from_top(mem, csize)?,
         };
@@ -295,7 +250,7 @@ impl Heap {
     }
 
     /// Picks the best-fit bin chunk for `csize`, honouring randomization.
-    fn pick_bin(&mut self, mem: &mut SimMemory, csize: u64) -> Option<(u64, u64)> {
+    fn pick_bin(&mut self, csize: u64) -> Option<(u64, u64)> {
         let skip = match &mut self.rng {
             Some(rng) => rng.random_range(0u32..3) as usize,
             None => 0,
@@ -313,7 +268,6 @@ impl Heap {
         if set.is_empty() {
             self.bins.remove(&bin_size);
         }
-        self.set_binned_poison(mem, Addr(chunk), bin_size, false);
         Some((bin_size, chunk))
     }
 
@@ -362,7 +316,6 @@ impl Heap {
             next_hdr.prev_in_use = false;
             next_hdr.write(mem, next)?;
             self.bins.entry(rem_size).or_default().insert(rem.0);
-            self.set_binned_poison(mem, rem, rem_size, true);
         } else {
             ChunkHeader {
                 in_use: true,
@@ -405,10 +358,9 @@ impl Heap {
         };
         let need = csize + gap + MIN_CHUNK;
         if top_size < need {
-            let grow = (need - top_size).div_ceil(self.config.grow_granularity)
-                * self.config.grow_granularity;
+            let grow = (need - top_size).div_ceil(GROW_GRANULARITY) * GROW_GRANULARITY;
             let new_brk = self.brk.offset(grow);
-            if new_brk - self.base > self.config.limit {
+            if new_brk - self.base > self.limit {
                 return Err(HeapError::OutOfMemory { requested: csize });
             }
             mem.grow_region(self.region, new_brk)?;
@@ -428,7 +380,6 @@ impl Heap {
             }
             .write(mem, chunk)?;
             self.bins.entry(gap).or_default().insert(chunk.0);
-            self.set_binned_poison(mem, chunk, gap, true);
             chunk = chunk.offset(gap);
             prev_size = gap;
             prev_in_use = false;
@@ -502,7 +453,7 @@ impl Heap {
                     kind: CorruptKind::BoundaryTagMismatch,
                 });
             }
-            if !self.unbin(mem, prev, prev_hdr.size) {
+            if !self.unbin(prev, prev_hdr.size) {
                 return Err(HeapError::CorruptChunk {
                     chunk: prev,
                     kind: CorruptKind::BinInconsistency,
@@ -538,7 +489,7 @@ impl Heap {
         let mut merged_next = next;
         if !next_hdr.in_use {
             // Coalesce with the following free chunk.
-            if !self.unbin(mem, next, next_hdr.size) {
+            if !self.unbin(next, next_hdr.size) {
                 return Err(HeapError::CorruptChunk {
                     chunk: next,
                     kind: CorruptKind::BinInconsistency,
@@ -559,9 +510,7 @@ impl Heap {
         after.prev_in_use = false;
         after.write(mem, merged_next)?;
         self.bins.entry(size).or_default().insert(start.0);
-        self.clobber_freed(mem, start)?;
-        self.set_binned_poison(mem, start, size, true);
-        Ok(())
+        self.clobber_freed(mem, start)
     }
 
     /// Writes the free-list cookie over the first user bytes of a freed
@@ -573,44 +522,16 @@ impl Heap {
         Ok(())
     }
 
-    fn unbin(&mut self, mem: &mut SimMemory, chunk: Addr, size: u64) -> bool {
+    fn unbin(&mut self, chunk: Addr, size: u64) -> bool {
         match self.bins.get_mut(&size) {
             Some(set) => {
                 let present = set.remove(&chunk.0);
                 if set.is_empty() {
                     self.bins.remove(&size);
                 }
-                if present {
-                    self.set_binned_poison(mem, chunk, size, false);
-                }
                 present
             }
             None => false,
-        }
-    }
-
-    /// Returns the pages lying fully inside the poisonable interior of a
-    /// free chunk — past the header and free-list cookies, up to (and
-    /// excluding the page straddling) the chunk end — as a byte range.
-    fn poison_span(chunk: Addr, size: u64) -> Option<(Addr, u64)> {
-        let page = PAGE_SIZE as u64;
-        let lo = (ChunkHeader::user_of(chunk).0 + COOKIE_SPAN).next_multiple_of(page);
-        let hi = (chunk.0 + size) / page * page;
-        (lo < hi).then(|| (Addr(lo), hi - lo))
-    }
-
-    /// Flips (or restores) the permission bits of a binned chunk's
-    /// interior pages, when [`HeapConfig::poison_freed_pages`] is on.
-    /// Pure permission flips: no page data is touched, so the chunk's
-    /// boundary tags and cookies survive the round trip.
-    fn set_binned_poison(&self, mem: &mut SimMemory, chunk: Addr, size: u64, poison: bool) {
-        if !self.config.poison_freed_pages {
-            return;
-        }
-        if let Some((start, len)) = Self::poison_span(chunk, size) {
-            let perms = if poison { Perms::POISONED } else { Perms::RW };
-            mem.protect(start, len, perms)
-                .expect("binned chunk pages are mapped");
         }
     }
 
@@ -983,51 +904,17 @@ mod tests {
     }
 
     #[test]
-    fn poison_freed_pages_traps_dangling_access_until_reuse() {
-        use fa_mem::MemFault;
-        let mut mem = SimMemory::new();
-        let mut heap = Heap::with_config(
-            &mut mem,
-            Addr(0x1000_0000),
-            HeapConfig {
-                poison_freed_pages: true,
-                ..HeapConfig::default()
-            },
-        )
-        .unwrap();
-        let page = PAGE_SIZE as u64;
+    fn freed_chunk_pages_stay_readable() {
+        // Quarantine scans and heap marking read freed memory, so a free
+        // must leave a binned chunk's interior pages mapped and readable.
+        let (mut mem, mut heap) = setup();
+        let page = fa_mem::PAGE_SIZE as u64;
         let p = heap.malloc(&mut mem, 4 * page).unwrap();
         // A plug behind it keeps the freed chunk off the top, so it lands
         // in a bin.
-        let plug = heap.malloc(&mut mem, 64).unwrap();
-        mem.write_u64(p.offset(2 * page), 7).unwrap();
-        heap.free(&mut mem, p).unwrap();
-        // Interior pages of the binned chunk trap on access...
-        assert!(matches!(
-            mem.read_u8(p.offset(2 * page)),
-            Err(MemFault::GuardTrap { .. })
-        ));
-        // ...while the free-list cookies (and boundary tags) stay
-        // readable for the allocator.
-        assert_eq!(mem.read_u64(p).unwrap(), FREE_COOKIE ^ (p.0 - HDR_SIZE));
-        // Reuse restores plain read/write pages.
-        let q = heap.malloc(&mut mem, 4 * page).unwrap();
-        assert_eq!(q, p, "best fit reuses the freed chunk");
-        mem.write_u8(q.offset(2 * page), 1).unwrap();
-        heap.free(&mut mem, q).unwrap();
-        heap.free(&mut mem, plug).unwrap();
-        heap.check_integrity(&mut mem).unwrap();
-    }
-
-    #[test]
-    fn poisoning_off_by_default_keeps_freed_pages_readable() {
-        let (mut mem, mut heap) = setup();
-        let page = PAGE_SIZE as u64;
-        let p = heap.malloc(&mut mem, 4 * page).unwrap();
-        let plug = heap.malloc(&mut mem, 64).unwrap();
+        let _plug = heap.malloc(&mut mem, 64).unwrap();
         heap.free(&mut mem, p).unwrap();
         assert!(mem.read_u8(p.offset(2 * page)).is_ok());
-        let _ = plug;
     }
 
     #[test]
@@ -1048,41 +935,5 @@ mod tests {
             heap.free(&mut mem, p).unwrap();
         }
         assert_eq!(heap.stats().in_use_chunks, 0);
-    }
-
-    #[test]
-    fn poisoned_heap_survives_random_workload() {
-        // Same workload as `randomized_heap_stays_consistent`, with
-        // freed-page poisoning on: every split, gap, coalesce, and reuse
-        // must flip permissions symmetrically or the allocator's own
-        // metadata writes (and this test's data writes) would trap.
-        let mut mem = SimMemory::new();
-        let mut heap = Heap::with_config(
-            &mut mem,
-            Addr(0x1000_0000),
-            HeapConfig {
-                poison_freed_pages: true,
-                limit: 1 << 26,
-                ..HeapConfig::default()
-            },
-        )
-        .unwrap();
-        heap.randomize(42);
-        let mut live = Vec::new();
-        for i in 0..200u64 {
-            let req = 16 + (i * 379) % (3 * PAGE_SIZE as u64);
-            let p = heap.malloc(&mut mem, req).unwrap();
-            mem.fill(p, req, i as u8).unwrap();
-            live.push(p);
-            if i % 2 == 1 {
-                let victim = live.swap_remove((i as usize * 7) % live.len());
-                heap.free(&mut mem, victim).unwrap();
-            }
-        }
-        for p in live {
-            heap.free(&mut mem, p).unwrap();
-        }
-        assert_eq!(heap.stats().in_use_chunks, 0);
-        heap.check_integrity(&mut mem).unwrap();
     }
 }

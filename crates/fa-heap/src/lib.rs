@@ -52,5 +52,5 @@ pub mod walk;
 
 pub use chunk::{ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
 pub use error::{CorruptKind, HeapError, InvalidFreeKind};
-pub use heap::{Heap, HeapConfig, HeapStats};
+pub use heap::{Heap, HeapStats};
 pub use walk::ChunkInfo;

@@ -6,14 +6,15 @@
 //! payloads (named-field structs), so the on-disk format is
 //! self-describing: `{"PatchPublish":{"program":...,"patches":[...]}}`.
 //!
-//! Replay contract: each *epoch-bumping* op (`PatchPublish`,
-//! `PatchRevoke`, `PatchRemove`, `CanaryAdmit`, `CanaryPromote`)
-//! advances its program's patch epoch by exactly one, mirroring the
-//! single bump the live mutation performed.
+//! Replay contract: the patch pool changes its state only by applying
+//! these records, through one function. A live mutation applies the
+//! records it journals and replay applies the records it reads, so
+//! replay lands on the live state by construction. Each *epoch-bumping*
+//! op (`PatchPublish`, `PatchRevoke`, `PatchRemove`, `CanaryAdmit`,
+//! `CanaryPromote`) advances its program's patch epoch by exactly one.
 //! Quarantine records carry their resulting counters (`flaps`,
 //! `window`, `denials`) rather than the inputs that produced them, so
-//! replay restores the exact bookkeeping without needing the policy
-//! that was active at append time.
+//! applying one needs no policy, live or replayed.
 
 use fa_allocext::Patch;
 use fa_proc::CallSite;

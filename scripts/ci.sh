@@ -5,6 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every dependency a manifest declares must be named by a .rs file of
+# its package (a text search; no build needed).
+scripts/check_deps.sh
+
 cargo build --release --offline
 cargo test -q --offline --workspace
 # The benchmark is its own package outside the workspace; building and
