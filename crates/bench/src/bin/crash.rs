@@ -2,9 +2,10 @@
 //!
 //! `--check` is the CI gate: it re-runs a scaled-down matrix and
 //! enforces the crash-safety invariants directly — journal recovery
-//! under 5% of a cold fleet start, zero lost patch epochs, byte-
-//! identical re-convergence, and an immunized post-recovery fleet —
-//! exiting nonzero on any violation without touching the baseline.
+//! under 5% of a cold fleet start, one journal record per patch epoch,
+//! zero lost patch epochs, byte-identical re-convergence, and an
+//! immunized post-recovery fleet — exiting nonzero on any violation
+//! without touching the baseline.
 
 use fa_apps::{all_specs, spec_by_key};
 use fa_bench::{crash, gate};

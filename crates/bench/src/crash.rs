@@ -3,11 +3,11 @@
 //! For each application, a fleet runs over a journaled patch pool and
 //! is then "killed" (dropped, in-memory state lost). The experiment
 //! measures what a restarted supervisor pays to get back to the exact
-//! pre-crash supervision state by replaying the journal, against the
-//! cost of the cold start that built that state in the first place —
-//! and verifies nothing was lost: the recovered pool must be
-//! byte-identical (`export_state`) at the same patch epoch, and a
-//! post-recovery workload must run already immunized.
+//! pre-crash patch pool by replaying the journal, against the cost of
+//! the cold start that built that pool in the first place — and
+//! verifies nothing was lost: the recovered pool must be byte-identical
+//! (`export_state`) at the same patch epoch, and a post-recovery
+//! workload must run already immunized.
 
 use std::time::Instant;
 
@@ -58,7 +58,7 @@ pub struct CrashReport {
 /// # Panics
 ///
 /// Panics if the fleet fails to diagnose during the cold run (there is
-/// then no supervision state worth recovering).
+/// then no pool state worth recovering).
 pub fn run_case(
     spec: &AppSpec,
     workers: usize,
@@ -105,7 +105,6 @@ pub fn run_case(
     let t1 = Instant::now();
     let recovered = PatchPool::journaled(&dir).expect("journal reopens");
     let fleet = Fleet::new(spec.build, config).with_pool(recovered.clone());
-    fleet.recover_from_journal();
     let recovery_ns = t1.elapsed().as_nanos() as u64;
     let journal_records = recovered.journal().expect("journaled pool").replay().len();
     let recovered_epoch = recovered.epoch(&program);
@@ -161,7 +160,10 @@ pub fn render(exp: &CrashExperiment) -> String {
 
 /// The CI gate: recovery must cost under 5% of a cold fleet start, lose
 /// zero patch epochs, re-converge byte-identically, and leave the fleet
-/// immunized. Returns human-readable violations (empty = pass).
+/// immunized, and the journal must hold one record per patch epoch (the
+/// runs have no revocation or canary traffic, so every pool record
+/// bumps the epoch and any other record is one the pool never reads).
+/// Returns human-readable violations (empty = pass).
 pub fn check(report: &CrashReport) -> Vec<String> {
     let mut violations = Vec::new();
     for e in &report.experiments {
@@ -170,6 +172,12 @@ pub fn check(report: &CrashReport) -> Vec<String> {
                 "{}: journal recovery cost {} of a cold start (gate: < 5%)",
                 e.app,
                 crate::pct(e.recovery_fraction)
+            ));
+        }
+        if e.journal_records as u64 != e.recovered_epoch {
+            violations.push(format!(
+                "{}: journal holds {} record(s) for {} patch epoch(s) (gate: one per epoch)",
+                e.app, e.journal_records, e.recovered_epoch
             ));
         }
         if e.lost_epochs > 0 {

@@ -101,9 +101,9 @@ pub use fa_allocext::{SentryConfig, SentryMetrics, TrapKind, TrapRecord};
 // Re-export the fault-injection vocabulary so harnesses need not depend
 // on fa-faults directly.
 pub use fa_faults::{FaultPlan, FaultPlanBuilder, FaultStage, Injection, KillPoint, KillSchedule};
-// Re-export the supervision journal so fleet supervisors and benches can
-// arm kill points and replay records without depending on fa-wal directly.
-pub use fa_wal::{parse_prefix, truncate_to_records, Wal, WalOp, WalRecord};
+// Re-export the pool journal so benches and tests can open one, arm
+// kill points and cut its records without depending on fa-wal directly.
+pub use fa_wal::{parse_prefix, truncate_to_records, Wal};
 
 /// Locks `mutex`, ignoring poison: a thread that panicked while holding
 /// the pool or the log sink must not turn every later lock of it into a

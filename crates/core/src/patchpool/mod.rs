@@ -282,8 +282,7 @@ impl Pools {
 /// live mutations apply the records they journal, and replay applies
 /// the records it reads. Each epoch-bumping record bumps its program's
 /// epoch exactly once. Quarantine records carry their resulting
-/// counters, so applying one needs no policy. Records that are not pool
-/// state (checkpoints, sentries, ladder, membership) change nothing.
+/// counters, so applying one needs no policy.
 fn apply(pools: &mut Pools, op: &WalOp) {
     match op {
         WalOp::PatchPublish(op) => {
@@ -381,12 +380,6 @@ fn apply(pools: &mut Pools, op: &WalOp) {
                     .collect();
             }
         }
-        WalOp::CheckpointRegister(_)
-        | WalOp::CheckpointPrune(_)
-        | WalOp::SentrySuppress(_)
-        | WalOp::LadderDescend(_)
-        | WalOp::WorkerJoin(_)
-        | WalOp::WorkerLeave(_) => {}
     }
 }
 
@@ -400,7 +393,7 @@ fn apply(pools: &mut Pools, op: &WalOp) {
 #[derive(Clone)]
 pub struct PatchPool {
     inner: Arc<Mutex<Pools>>,
-    /// The supervision journal, if this pool is crash-safe.
+    /// The pool's journal, if this pool is crash-safe.
     journal: Option<Wal>,
     /// Worker scope of this clone: which canaries it sees.
     scope: Option<u64>,
@@ -460,25 +453,9 @@ impl PatchPool {
         }
     }
 
-    /// The worker scope of this clone, if any.
-    pub fn scope(&self) -> Option<u64> {
-        self.scope
-    }
-
-    /// The supervision journal, if this pool is crash-safe.
+    /// The pool's journal, if this pool is crash-safe.
     pub fn journal(&self) -> Option<&Wal> {
         self.journal.as_ref()
-    }
-
-    /// Appends a non-pool supervision record (checkpoint registration,
-    /// ladder descent, worker membership, ...) to the journal, if any,
-    /// keeping the replay watermark in step.
-    pub fn journal_append(&self, op: WalOp) {
-        if self.journal.is_none() {
-            return;
-        }
-        let mut pools = lock(&self.inner);
-        self.journal_ops(&mut pools, vec![op]);
     }
 
     /// Replays the journal into the pool. Records at or below the
@@ -1351,8 +1328,6 @@ mod tests {
 
     #[test]
     fn epoch_signal_follows_every_effective_mutation() {
-        use fa_wal::SentryOp;
-
         let dir = journal_dir("signal");
         let pool = PatchPool::journaled(&dir)
             .unwrap()
@@ -1405,17 +1380,6 @@ mod tests {
         assert_eq!(pool.recover_from_journal(), 1);
         moved("snapshot replay");
         assert_eq!(pool.export_state("apache"), other.export_state("apache"));
-        pool.journal().unwrap().set_compact_every(0);
-
-        // A journal-only record is no mutation.
-        let appends = pool.journal().unwrap().appends();
-        pool.journal_append(WalOp::SentrySuppress(SentryOp {
-            program: "apache".to_owned(),
-            sites: vec![site],
-            all: false,
-        }));
-        assert_eq!(pool.journal().unwrap().appends(), appends + 1);
-        assert_eq!(signal.get(), last, "a journal-only record");
 
         // A later request, from any clone, reads the same epoch.
         assert_eq!(worker0.epoch_signal("apache").get(), last);

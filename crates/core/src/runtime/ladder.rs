@@ -6,7 +6,6 @@
 use fa_allocext::{BugType, Patch, TrapRecord, GENERIC_SITE};
 use fa_exec::ROLLBACK_COST_NS;
 use fa_proc::FailureRecord;
-use fa_wal::{LadderOp, WalOp};
 
 use crate::log;
 use crate::report::BugReport;
@@ -14,17 +13,6 @@ use crate::report::BugReport;
 use super::{FirstAidRuntime, RecoveryKind, RecoveryRecord};
 
 impl FirstAidRuntime {
-    /// Journals a degradation-ladder descent.
-    fn journal_descent(&self, rung: &str, sig: &str) {
-        if self.pool.journal().is_some() {
-            self.pool.journal_append(WalOp::LadderDescend(LadderOp {
-                program: self.program.clone(),
-                rung: rung.to_owned(),
-                signature: sig.to_owned(),
-            }));
-        }
-    }
-
     /// Makes sure the program-wide generic best-effort patches
     /// (`AddPadding` + `DelayFree` at every call-site) are in the pool,
     /// unless that rung has itself been revoked. Returns the freshly
@@ -105,8 +93,7 @@ impl FirstAidRuntime {
         }
         self.wall_ns += self.process.ctx.clock.now().saturating_sub(t0) + ROLLBACK_COST_NS;
         self.resync_without_credit();
-        let pruned = self.manager.truncate_after(target);
-        self.journal_checkpoint_prunes(&pruned);
+        self.manager.truncate_after(target);
         self.manager.rearm(&self.process);
 
         if generic_active {
@@ -126,10 +113,6 @@ impl FirstAidRuntime {
             self.degradation.rollback_drops += 1;
             (RecoveryKind::Dropped, "rollback-and-drop (rung 3)")
         };
-        // `generic` records that the generic rung now guards this
-        // signature (even when the poisoned input was still dropped), so
-        // journal replay can restore the health monitor's guard.
-        self.journal_descent(if generic_active { "generic" } else { "dropped" }, sig);
         let report = BugReport::degraded(&self.program, failure, rung, &fresh, diag_log, trap);
         RecoveryRecord {
             kind,
@@ -152,14 +135,6 @@ impl FirstAidRuntime {
             let entry = self.monitor.entry(sig.to_owned()).or_default();
             entry.sites = vec![GENERIC_SITE];
         }
-        self.journal_descent(
-            if fresh.is_empty() {
-                "dropped"
-            } else {
-                "generic"
-            },
-            sig,
-        );
         self.process.clear_failure();
         self.process.skip_current();
         self.manager.rearm(&self.process);

@@ -22,7 +22,6 @@ use fa_checkpoint::{AdaptiveConfig, CheckpointManager, CheckpointStats};
 use fa_exec::expect_ext;
 use fa_faults::{FaultPlan, FaultStage};
 use fa_proc::{BoxedApp, CallSite, Fault, Input, Process, ProcessCtx, StepResult};
-use fa_wal::{CheckpointOp, SentryOp, WalOp};
 
 use crate::diagnose::{Diagnosis, EngineConfig};
 use crate::metrics::{DegradationMetrics, ThroughputSampler};
@@ -250,9 +249,9 @@ impl FirstAidRuntime {
         });
         let mut process = Process::launch(app, ctx)?;
         let mut manager = CheckpointManager::new(config.adaptive, config.max_checkpoints);
-        let first_ckpt = manager.force_checkpoint(&mut process);
+        manager.force_checkpoint(&mut process);
         let last_proc_clock = process.ctx.clock.now();
-        let rt = FirstAidRuntime {
+        Ok(FirstAidRuntime {
             process,
             manager,
             pool,
@@ -269,39 +268,7 @@ impl FirstAidRuntime {
             sentry_counters: SentryMetrics::default(),
             trial_errors: 0,
             recoveries: Vec::new(),
-        };
-        rt.journal_checkpoint_register(first_ckpt);
-        Ok(rt)
-    }
-
-    /// Journals a runtime supervision transition, when the pool carries
-    /// a journal. Runtime records don't mutate pool state on replay;
-    /// they make the supervision timeline durable (and auditable) so a
-    /// restarted supervisor can reconstruct where it was.
-    fn journal_op(&self, op: WalOp) {
-        if self.pool.journal().is_some() {
-            self.pool.journal_append(op);
-        }
-    }
-
-    /// Journals a checkpoint registration.
-    fn journal_checkpoint_register(&self, ckpt: u64) {
-        self.journal_op(WalOp::CheckpointRegister(CheckpointOp {
-            program: self.program.clone(),
-            worker: self.pool.scope().unwrap_or(0),
-            ckpt,
-        }));
-    }
-
-    /// Journals checkpoint prunes (recovery truncated the ring).
-    pub(super) fn journal_checkpoint_prunes(&self, pruned: &[u64]) {
-        for &ckpt in pruned {
-            self.journal_op(WalOp::CheckpointPrune(CheckpointOp {
-                program: self.program.clone(),
-                worker: self.pool.scope().unwrap_or(0),
-                ckpt,
-            }));
-        }
+        })
     }
 
     /// Returns the supervised process.
@@ -371,40 +338,12 @@ impl FirstAidRuntime {
         true
     }
 
-    /// Replays the supervision journal into this runtime after a crash.
-    ///
-    /// The pool recovers its patch/tombstone/quarantine state to the
-    /// exact pre-crash epoch, ladder descents are replayed into the
-    /// patch health monitor (a recovered runtime remembers which bug
-    /// signatures the generic rung already guards, so it does not
-    /// re-diagnose them from scratch), and the live allocator
-    /// re-installs the recovered patch set. Idempotent: replaying twice
-    /// applies nothing more and returns 0.
-    pub fn recover_from_journal(&mut self) -> usize {
-        let applied = self.pool.recover_from_journal();
-        let mut descents: Vec<String> = Vec::new();
-        if let Some(wal) = self.pool.journal() {
-            for rec in wal.replay() {
-                if let fa_wal::WalOp::LadderDescend(op) = rec.op {
-                    if op.program == self.program && op.rung == "generic" {
-                        descents.push(op.signature);
-                    }
-                }
-            }
-        }
-        for sig in descents {
-            let entry = self.monitor.entry(sig).or_default();
-            entry.sites = vec![fa_allocext::GENERIC_SITE];
-        }
-        let patches = self.sync_pool_patches();
-        self.install_patchset(patches);
-        applied
-    }
-
     /// Installs a patch set on the live allocator, widening the
     /// delay-free quarantine when program-wide generic patches are
     /// active (they quarantine *every* free, so the production budget
-    /// would recycle poisoned blocks far too early).
+    /// would recycle poisoned blocks far too early). The allocator
+    /// re-derives the sentry sampler's suppression set from the
+    /// installed patches.
     fn install_patchset(&mut self, patches: std::sync::Arc<PatchSet>) {
         let threshold = if patches.has_generic() {
             self.config.quarantine_bytes.max(GENERIC_QUARANTINE_BYTES)
@@ -416,22 +355,6 @@ impl FirstAidRuntime {
             ext.set_quarantine_threshold(threshold);
             ext.set_normal(patches);
         });
-        // The install just re-synced the sentry sampler's suppression
-        // set; journal the resulting set (read back from the live
-        // sampler, not re-derived) so a recovered supervisor knows which
-        // sites sampling had withdrawn from.
-        if self.config.sentry.is_some() && self.pool.journal().is_some() {
-            let (sites, all) = self.with_ext(|ext| {
-                ext.sentry()
-                    .map(|e| (e.sampler().suppressed_sites(), e.sampler().suppresses_all()))
-                    .unwrap_or_default()
-            });
-            self.journal_op(WalOp::SentrySuppress(SentryOp {
-                program: self.program.clone(),
-                sites,
-                all,
-            }));
-        }
     }
 
     /// Fault-injection hook: after a checkpoint is taken, the plan may
@@ -483,9 +406,8 @@ impl FirstAidRuntime {
             self.drop_streak = 0;
         }
         if self.manager.is_empty() {
-            let id = self.manager.force_checkpoint(&mut self.process);
+            self.manager.force_checkpoint(&mut self.process);
             self.sync_wall();
-            self.journal_checkpoint_register(id);
         }
         self.recoveries.push(record);
         self.recoveries.len() - 1
@@ -542,10 +464,9 @@ impl FirstAidRuntime {
         match r {
             StepResult::Ok(_) => {
                 self.drop_streak = 0;
-                if let Some(id) = self.manager.maybe_checkpoint(&mut self.process) {
+                if self.manager.maybe_checkpoint(&mut self.process).is_some() {
                     self.sync_wall();
                     self.maybe_corrupt_checkpoint();
-                    self.journal_checkpoint_register(id);
                 }
                 FeedOutcome {
                     served: true,
@@ -601,10 +522,9 @@ impl FirstAidRuntime {
                     ok_steps += 1;
                     self.drop_streak = 0;
                     self.sync_wall();
-                    if let Some(id) = self.manager.maybe_checkpoint(&mut self.process) {
+                    if self.manager.maybe_checkpoint(&mut self.process).is_some() {
                         self.sync_wall();
                         self.maybe_corrupt_checkpoint();
-                        self.journal_checkpoint_register(id);
                     }
                     let every = self.config.integrity_check_every;
                     if every > 0 && ok_steps.is_multiple_of(every) {

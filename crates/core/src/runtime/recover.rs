@@ -328,8 +328,7 @@ impl FirstAidRuntime {
                     (None, None)
                 };
 
-                let pruned = self.manager.truncate_after(diagnosis.checkpoint_id);
-                self.journal_checkpoint_prunes(&pruned);
+                self.manager.truncate_after(diagnosis.checkpoint_id);
                 self.manager.rearm(&self.process);
                 RecoveryRecord {
                     kind: RecoveryKind::Patched,

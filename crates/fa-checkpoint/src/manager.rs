@@ -327,21 +327,12 @@ impl CheckpointManager {
     }
 
     /// Drops all checkpoints newer than `id` (after recovery commits to a
-    /// rollback point, the discarded future is invalid). Returns the
-    /// pruned ids, oldest first, so a journaling supervisor can record
-    /// exactly what was discarded.
-    pub fn truncate_after(&mut self, id: u64) -> Vec<u64> {
-        let pruned: Vec<u64> = self
-            .ring
-            .iter()
-            .filter(|c| c.id > id)
-            .map(|c| c.id)
-            .collect();
+    /// rollback point, the discarded future is invalid).
+    pub fn truncate_after(&mut self, id: u64) {
         self.ring.retain(|c| c.id <= id);
         if let Some(last) = self.ring.back() {
             self.next_id = last.id + 1;
         }
-        pruned
     }
 
     /// Returns the current checkpoint interval.
@@ -487,8 +478,7 @@ mod tests {
             p.feed(InputBuilder::op(0).a(64).build());
             ids.push(mgr.force_checkpoint(&mut p));
         }
-        let pruned = mgr.truncate_after(ids[1]);
-        assert_eq!(pruned, vec![ids[2], ids[3]]);
+        mgr.truncate_after(ids[1]);
         let remaining: Vec<u64> = mgr.checkpoints().map(|c| c.id).collect();
         assert_eq!(remaining, vec![ids[0], ids[1]]);
     }

@@ -6,7 +6,7 @@
 //! whether the failure moves. Only `first-aid-core` drives that loop:
 //! its diagnosis engine (the full search and the fast path that sentry
 //! traps seed), the recovery path and degradation ladder around it, and
-//! the Rx baseline. fa-fleet and fa-wal use only [`Backoff`]. This crate
+//! the Rx baseline. fa-fleet uses only [`Backoff`]. This crate
 //! is the one place the loop is implemented:
 //!
 //! * [`ReplayHarness`] — rollback through the checkpoint ring +

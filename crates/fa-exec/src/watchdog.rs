@@ -31,9 +31,8 @@ pub struct Watchdog<'a> {
 }
 
 impl<'a> Watchdog<'a> {
-    /// Builds a watchdog over the engine's fault plan. `deadline_ns == 0`
-    /// disables the genuine-overrun check (injected hangs still fire);
-    /// `hangs` accumulates reaped-trial counts across the diagnosis.
+    /// Builds a watchdog over the engine's fault plan; `hangs`
+    /// accumulates reaped-trial counts across the diagnosis.
     pub fn new(
         plan: &'a FaultPlan,
         deadline_ns: u64,
@@ -57,7 +56,7 @@ impl<'a> Watchdog<'a> {
     /// injected hangs exhausted the retries) and the caller must degrade
     /// instead of waiting forever.
     pub fn judge(&self, trial_elapsed_ns: u64) -> Result<u64, u64> {
-        let overdue = self.deadline_ns > 0 && trial_elapsed_ns > self.deadline_ns;
+        let overdue = trial_elapsed_ns > self.deadline_ns;
         let mut backoff = Backoff::seeded(
             self.backoff_base_ns,
             self.backoff_base_ns.saturating_mul(1 << 10),
@@ -72,13 +71,8 @@ impl<'a> Watchdog<'a> {
             }
             self.hangs.set(self.hangs.get() + 1);
             // The wedged trial burned its whole deadline before the reap.
-            let burned = if self.deadline_ns > 0 {
-                self.deadline_ns
-            } else {
-                trial_elapsed_ns
-            };
             penalty_ns = penalty_ns
-                .saturating_add(burned)
+                .saturating_add(self.deadline_ns)
                 .saturating_add(backoff.next_delay_ns());
             if overdue || attempt >= self.retries {
                 // A genuine overrun is deterministic — retrying cannot
@@ -137,13 +131,5 @@ mod tests {
         let penalty = dog.judge(100).unwrap_err();
         assert!(penalty >= 3_000, "three reaps charged three deadlines");
         assert_eq!(hangs.get(), 3, "initial attempt + two retries");
-    }
-
-    #[test]
-    fn zero_deadline_disables_overrun_but_not_injection() {
-        let plan = FaultPlan::none();
-        let hangs = Cell::new(0);
-        let dog = Watchdog::new(&plan, 0, 2, 10, &hangs);
-        assert_eq!(dog.judge(u64::MAX), Ok(0));
     }
 }

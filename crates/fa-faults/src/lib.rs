@@ -309,25 +309,6 @@ impl KillSchedule {
         KillSchedule { points }
     }
 
-    /// A seeded pseudo-random sample of `count` kill points over a
-    /// journal of `appends` records (for large logs where the
-    /// exhaustive sweep would be too slow). Deterministic in `seed`.
-    pub fn sampled(seed: u64, appends: u64, count: usize) -> KillSchedule {
-        if appends == 0 {
-            return KillSchedule::default();
-        }
-        let points = (0..count as u64)
-            .map(|i| {
-                let x = splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                KillPoint {
-                    after_appends: x % appends,
-                    torn: splitmix64(x) & 1 == 1,
-                }
-            })
-            .collect();
-        KillSchedule { points }
-    }
-
     /// The kill points, in schedule order.
     pub fn points(&self) -> &[KillPoint] {
         &self.points
@@ -460,17 +441,6 @@ mod tests {
             assert!(sched.points().contains(&KillPoint::torn(k)));
         }
         assert!(KillSchedule::exhaustive(0).is_empty());
-    }
-
-    #[test]
-    fn sampled_kill_schedule_is_seeded_and_in_range() {
-        let a = KillSchedule::sampled(9, 50, 16);
-        let b = KillSchedule::sampled(9, 50, 16);
-        assert_eq!(a.points(), b.points(), "same seed, same schedule");
-        assert!(a.points().iter().all(|p| p.after_appends < 50));
-        let c = KillSchedule::sampled(10, 50, 16);
-        assert_ne!(a.points(), c.points(), "different seed, different points");
-        assert!(KillSchedule::sampled(1, 0, 16).is_empty());
     }
 
     #[test]

@@ -5,8 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fa_proc::{BoxedApp, Input};
-use fa_wal::WorkerOp;
-use first_aid_core::{FirstAidConfig, PatchPool, QuarantinePolicy, WalOp};
+use first_aid_core::{FirstAidConfig, PatchPool, QuarantinePolicy};
 
 use crate::metrics::{FleetMetrics, FleetReport, WorkerReport};
 use crate::worker::{self, WorkerParams};
@@ -102,17 +101,6 @@ impl Fleet {
         &self.config
     }
 
-    /// Recovers the shared pool from its supervision journal (crash-safe
-    /// restart of the whole fleet supervisor). Returns the number of
-    /// journal records applied; idempotent — a second call applies
-    /// nothing and returns 0. A fleet whose pool was built with
-    /// [`PatchPool::journaled`] recovers automatically at construction;
-    /// this re-entry point exists for supervisors that crash *between*
-    /// runs and re-open the same journal handle.
-    pub fn recover_from_journal(&self) -> usize {
-        self.pool.recover_from_journal()
-    }
-
     /// Runs the fleet over one input stream: spawns the workers,
     /// dispatches every input in strict rotation (input `i` goes to
     /// worker `i % N`, so each worker of a sharded stream sees its own
@@ -124,11 +112,8 @@ impl Fleet {
     pub fn run(&self, inputs: impl IntoIterator<Item = Input>) -> FleetReport {
         let n = self.config.workers.max(1);
         self.pool.enable_quarantine(QuarantinePolicy::default());
-        // Membership records are no-ops on an in-memory pool.
         let handles: Vec<WorkerHandle> = (0..n)
             .map(|id| {
-                self.pool
-                    .journal_append(WalOp::WorkerJoin(WorkerOp { worker: id as u64 }));
                 let (sender, receiver) = mpsc::sync_channel(QUEUE_DEPTH);
                 let params = WorkerParams {
                     id,
@@ -153,13 +138,11 @@ impl Fleet {
         }
 
         let mut metrics = FleetMetrics::new();
-        for (id, WorkerHandle { sender, thread }) in handles.into_iter().enumerate() {
+        for WorkerHandle { sender, thread } in handles {
             drop(sender); // close the queue so the worker's recv() ends
             if let Ok(report) = thread.join() {
                 metrics.push(report);
             }
-            self.pool
-                .journal_append(WalOp::WorkerLeave(WorkerOp { worker: id as u64 }));
         }
         let mut report = metrics.finish();
         // Journal I/O health lives on the shared pool's journal, not on

@@ -89,10 +89,9 @@ fn a_foreign_program_publish_leaves_the_installed_set_untouched() {
 }
 
 #[test]
-fn a_scoped_canary_and_a_journal_only_record_travel_by_epoch_alone() {
+fn a_scoped_canary_travels_by_epoch_alone() {
     use fa_proc::{CallSite, SymbolTable};
-    use fa_wal::SentryOp;
-    use first_aid_core::{BugType, Patch, QuarantinePolicy, WalOp};
+    use first_aid_core::{BugType, Patch, QuarantinePolicy};
 
     let site = CallSite([1, 0, 0]);
     let patch = || Patch::new(BugType::BufferOverflow, site, &SymbolTable::new());
@@ -160,27 +159,5 @@ fn a_scoped_canary_and_a_journal_only_record_travel_by_epoch_alone() {
     );
     assert!(rt0.refresh_patches());
     assert!(matches_site(&mut rt0));
-
-    // A journal-only record moves no epoch, so no runtime refreshes.
-    let epoch = pool.epoch("squid");
-    let appends = pool.journal().expect("journaled pool").appends();
-    pool.journal_append(WalOp::SentrySuppress(SentryOp {
-        program: "squid".to_owned(),
-        sites: vec![site],
-        all: false,
-    }));
-    assert_eq!(
-        pool.journal().expect("journaled pool").appends(),
-        appends + 1,
-        "the record is journaled"
-    );
-    assert_eq!(
-        (w0.epoch("squid"), pool.for_worker(1).epoch("squid")),
-        (epoch, epoch)
-    );
-    assert!(!rt0.refresh_patches());
-    assert!(!rt1.refresh_patches());
-    assert_eq!(rt0.health().pool_epoch, epoch);
-    assert_eq!(rt1.health().pool_epoch, epoch);
     let _ = std::fs::remove_dir_all(&dir);
 }

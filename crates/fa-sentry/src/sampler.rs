@@ -77,17 +77,6 @@ impl Sampler {
         self.suppress_all || self.suppressed.contains(&site)
     }
 
-    /// The currently suppressed sites, sorted (journaling supervisors
-    /// record these so a recovered runtime re-suppresses exactly).
-    pub fn suppressed_sites(&self) -> Vec<CallSite> {
-        self.suppressed.iter().copied().collect()
-    }
-
-    /// Whether a generic program-wide patch suppresses all sampling.
-    pub fn suppresses_all(&self) -> bool {
-        self.suppress_all
-    }
-
     /// One allocation from `site`; `tick` is the global 1/N pacing
     /// decision from the heap hook. Returns `true` if the allocation
     /// should be redirected into a guarded slot.

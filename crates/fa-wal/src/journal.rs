@@ -14,18 +14,16 @@
 //! [`KillPoint`] from the supervisor-kill schedule, after which the
 //! journal "dies" at the scheduled append — cleanly, or mid-append
 //! with a deliberately torn final record. Append I/O errors are
-//! injected through [`FaultStage::WalAppendIo`] and retried on the
-//! shared [`Backoff`] policy before the journal degrades to
-//! memory-only operation. The journal is the patch pool's one durable
-//! format, so its I/O health ([`Wal::io_errors`], [`Wal::is_degraded`])
-//! is the pool's.
+//! injected through [`FaultStage::WalAppendIo`]; an append is tried
+//! three times before the journal degrades to memory-only operation.
+//! The journal is the patch pool's one durable format, so its I/O
+//! health ([`Wal::io_errors`], [`Wal::is_degraded`]) is the pool's.
 
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use fa_exec::Backoff;
 use fa_faults::{FaultPlan, FaultStage, KillPoint};
 
 use crate::record::{PoolSnapshot, WalOp, WalRecord};
@@ -35,9 +33,6 @@ pub const WAL_MAGIC: &str = "fawal1";
 
 /// Append retry attempts before the journal degrades to memory-only.
 const APPEND_ATTEMPTS: u32 = 3;
-
-/// Base virtual-time backoff between append retries (1 ms).
-const APPEND_RETRY_BASE_NS: u64 = 1_000_000;
 
 /// FNV-1a over the record bytes, finished through splitmix64 so short
 /// records still change every checksum bit.
@@ -114,7 +109,6 @@ struct Inner {
     dead: bool,
     degraded: bool,
     io_errors: u64,
-    retry_backoff_ns: u64,
     faults: FaultPlan,
 }
 
@@ -125,8 +119,8 @@ fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
     inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A crash-safe supervision journal. Clones share state (one journal,
-/// many writers: the pool, the runtime, the fleet supervisor).
+/// A crash-safe patch-pool journal. Clones share state; the pool that
+/// owns the journal is its one writer.
 #[derive(Clone, Debug)]
 pub struct Wal {
     inner: Arc<Mutex<Inner>>,
@@ -164,7 +158,6 @@ impl Wal {
                 dead: false,
                 degraded: false,
                 io_errors: 0,
-                retry_backoff_ns: 0,
                 faults: FaultPlan::none(),
             })),
         })
@@ -241,7 +234,6 @@ impl Wal {
                 return None;
             }
         }
-        let mut backoff = Backoff::new(APPEND_RETRY_BASE_NS, APPEND_RETRY_BASE_NS << 8);
         for _ in 0..APPEND_ATTEMPTS {
             let injected = inner.faults.should_fail(FaultStage::WalAppendIo);
             let outcome = if injected {
@@ -264,12 +256,7 @@ impl Wal {
                     inner.since_compact += 1;
                     return Some(seq);
                 }
-                Err(_) => {
-                    inner.io_errors += 1;
-                    inner.retry_backoff_ns = inner
-                        .retry_backoff_ns
-                        .saturating_add(backoff.next_delay_ns());
-                }
+                Err(_) => inner.io_errors += 1,
             }
         }
         inner.degraded = true;
@@ -298,7 +285,6 @@ impl Wal {
             op: WalOp::Snapshot(state),
         };
         let line = Self::encode_or_degrade(&mut inner, &record)?;
-        let mut backoff = Backoff::new(APPEND_RETRY_BASE_NS, APPEND_RETRY_BASE_NS << 8);
         for _ in 0..APPEND_ATTEMPTS {
             let injected = inner.faults.should_fail(FaultStage::WalAppendIo);
             let outcome = if injected {
@@ -314,12 +300,7 @@ impl Wal {
                     inner.since_compact = 0;
                     return Some(seq);
                 }
-                Err(_) => {
-                    inner.io_errors += 1;
-                    inner.retry_backoff_ns = inner
-                        .retry_backoff_ns
-                        .saturating_add(backoff.next_delay_ns());
-                }
+                Err(_) => inner.io_errors += 1,
             }
         }
         inner.degraded = true;
@@ -355,11 +336,6 @@ impl Wal {
     /// Append I/O errors seen (injected or real), including retried ones.
     pub fn io_errors(&self) -> u64 {
         lock(&self.inner).io_errors
-    }
-
-    /// Virtual time charged to append-retry backoff so far.
-    pub fn retry_backoff_ns(&self) -> u64 {
-        lock(&self.inner).retry_backoff_ns
     }
 
     /// Successful appends since open (compactions included).
@@ -400,7 +376,8 @@ pub fn truncate_to_records(bytes: &[u8], n: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{PublishOp, WorkerOp};
+    use crate::record::{PublishOp, SiteOp};
+    use fa_proc::CallSite;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fa-wal-{}-{}", name, std::process::id()));
@@ -421,15 +398,16 @@ mod tests {
         let path = tmp("roundtrip");
         let wal = Wal::open(&path).unwrap();
         assert_eq!(wal.append(publish("squid")), Some(1));
-        assert_eq!(
-            wal.append(WalOp::WorkerJoin(WorkerOp { worker: 3 })),
-            Some(2)
-        );
+        let remove = WalOp::PatchRemove(SiteOp {
+            program: "squid".to_owned(),
+            site: CallSite([3, 0, 0]),
+        });
+        assert_eq!(wal.append(remove.clone()), Some(2));
         let records = wal.replay();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 1);
         assert_eq!(records[0].op.label(), "patch-publish");
-        assert_eq!(records[1].op, WalOp::WorkerJoin(WorkerOp { worker: 3 }));
+        assert_eq!(records[1].op, remove);
         // A reopened journal continues the sequence.
         let reopened = Wal::open(&path).unwrap();
         assert_eq!(reopened.next_seq(), 3);
@@ -537,7 +515,6 @@ mod tests {
             .build();
         let wal = Wal::open(&path).unwrap().with_faults(plan);
         assert_eq!(wal.append(publish("a")), Some(1), "one flake is retried");
-        assert!(wal.retry_backoff_ns() > 0, "retry charged virtual backoff");
         assert_eq!(
             wal.append(publish("b")),
             None,

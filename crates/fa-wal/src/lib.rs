@@ -1,17 +1,13 @@
-//! # fa-wal — the crash-safe supervision journal
+//! # fa-wal — the patch pool's crash-safe journal
 //!
-//! First-Aid's value proposition is that production runs survive their
-//! bugs, but the supervisor itself used to be the weakest link: if the
-//! fleet supervisor or a worker's runtime died mid-diagnosis, every
-//! in-flight patch epoch, quarantine counter, sentry suppression, and
-//! checkpoint registration evaporated — the "immunize once, survive
-//! forever" guarantee reset to zero. This crate makes all of that
-//! supervision state durable:
+//! The paper keeps one thing across runs: each program's patch pool, so
+//! later runs and other processes of the program start protected. This
+//! crate makes that pool durable, so a supervisor that dies
+//! mid-diagnosis loses no patch epoch:
 //!
-//! * [`WalOp`] / [`WalRecord`] — the record vocabulary: patch-pool
-//!   publish/revoke/tombstone epochs, quarantine and canary
-//!   transitions, checkpoint registration/pruning, sentry
-//!   suppressions, ladder descents, fleet worker membership;
+//! * [`WalOp`] / [`WalRecord`] — the record vocabulary: the pool's
+//!   publish/revoke/remove transitions, quarantine denials and canary
+//!   moves, plus a compaction snapshot of the whole pool;
 //! * [`Wal`] — the append-only, checksummed, torn-write-safe journal
 //!   with snapshot compaction ([`PoolSnapshot`], written by a
 //!   torn-write-safe temp + fsync + rename) and built-in crash
@@ -40,6 +36,6 @@ mod record;
 
 pub use journal::{digest, parse_prefix, truncate_to_records, Wal, WAL_MAGIC};
 pub use record::{
-    CanaryOp, CheckpointOp, DenyOp, LadderOp, PoolSnapshot, ProgramSnapshot, PublishOp,
-    QuarantineEntry, RevokeOp, SentryOp, SiteOp, WalOp, WalRecord, WorkerOp,
+    CanaryOp, DenyOp, PoolSnapshot, ProgramSnapshot, PublishOp, QuarantineEntry, RevokeOp, SiteOp,
+    WalOp, WalRecord,
 };

@@ -1,10 +1,16 @@
 //! The journal record vocabulary.
 //!
-//! Every supervision-state transition that used to live only in memory
-//! is one [`WalOp`]; a [`WalRecord`] is an op stamped with its journal
-//! sequence number. Ops are externally-tagged JSON enums with newtype
-//! payloads (named-field structs), so the on-disk format is
-//! self-describing: `{"PatchPublish":{"program":...,"patches":[...]}}`.
+//! The journal holds the patch pool and nothing else: each [`WalOp`] is
+//! one pool transition (seven kinds) or a compaction [`PoolSnapshot`],
+//! and a [`WalRecord`] is an op stamped with its journal sequence
+//! number. A crash destroys the checkpoints, a launch recomputes the
+//! sentry suppressions from the recovered patches, the generic ladder
+//! rung's patches are pool records themselves, and fleet membership is
+//! the fleet's configuration, so none of them is journaled.
+//!
+//! Ops are externally-tagged JSON enums with newtype payloads
+//! (named-field structs), so the on-disk format is self-describing:
+//! `{"PatchPublish":{"program":...,"patches":[...]}}`.
 //!
 //! Replay contract: the patch pool changes its state only by applying
 //! these records, through one function. A live mutation applies the
@@ -82,46 +88,6 @@ pub struct CanaryOp {
     pub patches: Vec<Patch>,
 }
 
-/// A checkpoint registered or pruned by the runtime.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointOp {
-    /// Program executable name.
-    pub program: String,
-    /// Worker scope (0 for an unscoped runtime).
-    pub worker: u64,
-    /// Checkpoint id.
-    pub ckpt: u64,
-}
-
-/// A sentry sampler suppression change (synced at patch install).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SentryOp {
-    /// Program executable name.
-    pub program: String,
-    /// Precisely-patched sites withdrawn from sentry sampling.
-    pub sites: Vec<CallSite>,
-    /// Whether a generic patch suppressed sampling entirely.
-    pub all: bool,
-}
-
-/// A degradation-ladder descent.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LadderOp {
-    /// Program executable name.
-    pub program: String,
-    /// The rung descended to ("generic", "dropped", "restart").
-    pub rung: String,
-    /// The bug signature that drove the descent.
-    pub signature: String,
-}
-
-/// Fleet worker membership change.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WorkerOp {
-    /// Worker index within the fleet.
-    pub worker: u64,
-}
-
 /// Quarantine bookkeeping for one site, as carried by snapshots.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuarantineEntry {
@@ -166,7 +132,7 @@ pub struct PoolSnapshot {
     pub programs: Vec<ProgramSnapshot>,
 }
 
-/// One journaled supervision-state transition.
+/// One journaled patch-pool transition.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WalOp {
     /// Patches published for a program (epoch bump).
@@ -185,18 +151,6 @@ pub enum WalOp {
     CanaryPromote(SiteOp),
     /// A canary revoked before validation; the denial window doubles.
     CanaryReject(SiteOp),
-    /// A checkpoint registered by the runtime.
-    CheckpointRegister(CheckpointOp),
-    /// A checkpoint pruned (rollback truncated the ring past it).
-    CheckpointPrune(CheckpointOp),
-    /// Sentry sampler suppressions synced after a patch install.
-    SentrySuppress(SentryOp),
-    /// A degradation-ladder descent.
-    LadderDescend(LadderOp),
-    /// A fleet worker joined.
-    WorkerJoin(WorkerOp),
-    /// A fleet worker left (clean shutdown or fold).
-    WorkerLeave(WorkerOp),
     /// A compaction snapshot of the entire pool state.
     Snapshot(PoolSnapshot),
 }
@@ -212,12 +166,6 @@ impl WalOp {
             WalOp::CanaryAdmit(_) => "canary-admit",
             WalOp::CanaryPromote(_) => "canary-promote",
             WalOp::CanaryReject(_) => "canary-reject",
-            WalOp::CheckpointRegister(_) => "checkpoint-register",
-            WalOp::CheckpointPrune(_) => "checkpoint-prune",
-            WalOp::SentrySuppress(_) => "sentry-suppress",
-            WalOp::LadderDescend(_) => "ladder-descend",
-            WalOp::WorkerJoin(_) => "worker-join",
-            WalOp::WorkerLeave(_) => "worker-leave",
             WalOp::Snapshot(_) => "snapshot",
         }
     }

@@ -16,22 +16,22 @@ use proptest::prelude::*;
 
 use fa_allocext::{BugType, Patch};
 use fa_proc::{CallSite, SymbolTable};
-use fa_wal::{parse_prefix, truncate_to_records, PublishOp, RevokeOp, Wal, WalOp, WorkerOp};
+use fa_wal::{parse_prefix, truncate_to_records, DenyOp, PublishOp, RevokeOp, SiteOp, Wal, WalOp};
 
 #[derive(Clone, Debug)]
 enum Op {
     Publish { program: u8, patches: u8 },
     Revoke { program: u8, site: u8 },
-    WorkerJoin { worker: u8 },
-    WorkerLeave { worker: u8 },
+    Remove { program: u8, site: u8 },
+    Denied { program: u8, site: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (any::<u8>(), 0u8..4).prop_map(|(program, patches)| Op::Publish { program, patches }),
         2 => (any::<u8>(), any::<u8>()).prop_map(|(program, site)| Op::Revoke { program, site }),
-        1 => any::<u8>().prop_map(|worker| Op::WorkerJoin { worker }),
-        1 => any::<u8>().prop_map(|worker| Op::WorkerLeave { worker }),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(program, site)| Op::Remove { program, site }),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(program, site)| Op::Denied { program, site }),
     ]
 }
 
@@ -60,11 +60,14 @@ fn to_wal_op(op: &Op) -> WalOp {
             window: 1,
             quarantined: false,
         }),
-        Op::WorkerJoin { worker } => WalOp::WorkerJoin(WorkerOp {
-            worker: u64::from(worker),
+        Op::Remove { program, site } => WalOp::PatchRemove(SiteOp {
+            program: program_name(program),
+            site: CallSite([u64::from(site) + 1, 7, 0]),
         }),
-        Op::WorkerLeave { worker } => WalOp::WorkerLeave(WorkerOp {
-            worker: u64::from(worker),
+        Op::Denied { program, site } => WalOp::SiteDenied(DenyOp {
+            program: program_name(program),
+            site: CallSite([u64::from(site) + 1, 7, 0]),
+            denials: 1,
         }),
     }
 }
@@ -139,7 +142,7 @@ proptest! {
         prop_assert_eq!(wal.replay(), prefix_records.clone());
 
         // The repaired journal accepts appends that extend the prefix.
-        let appended = wal.append(WalOp::WorkerJoin(WorkerOp { worker: 9 }));
+        let appended = wal.append(to_wal_op(&Op::Remove { program: 0, site: 9 }));
         prop_assert_eq!(appended, Some(last_seq + 1));
         prop_assert_eq!(wal.replay().len(), prefix_records.len() + 1);
     }

@@ -52,9 +52,12 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 cargo run --release --offline -p fa-bench --bin sentry -- --check
 
 # Crash-safety gate: a killed supervisor must recover its journaled
-# state in under 5% of a cold fleet start, lose zero patch epochs,
-# re-converge byte-identically, and stay immunized. (The per-kill-point
-# acceptance sweep runs in the root test suite: crash_supervision.rs.)
+# patch pool in under 5% of a cold fleet start, lose zero patch epochs,
+# re-converge byte-identically, and stay immunized; and the journal must
+# hold one record per patch epoch (the runs have no revocation or canary
+# traffic, so any other record is one the pool never reads). (The
+# per-kill-point acceptance sweep runs in the root test suite:
+# crash_supervision.rs.)
 cargo run --release --offline -p fa-bench --bin crash -- --check
 
 # Patch-pool scale gate: a worker's per-input quiet path (one epoch-signal
