@@ -12,6 +12,7 @@ use fa_apps::{AppSpec, WorkloadSpec};
 use fa_faults::FaultStage;
 use first_aid_core::{DegradationMetrics, FirstAidRuntime, PatchPool, RunSummary, Wal};
 use serde::Serialize;
+use serde_json::Value;
 
 /// One (application, scenario) cell of the experiment.
 #[derive(Debug, Serialize)]
@@ -129,4 +130,90 @@ pub fn render(exp: &FaultsExperiment) -> String {
             ""
         },
     )
+}
+
+/// Compares a fresh report with the committed `baseline`, field by
+/// field, returning one violation per differing field.
+///
+/// Every field is on the virtual clock, so the comparison is exact: a
+/// changed retry gate, watchdog or ledger penalty moves a rung counter
+/// or `wall_ns` and fails it.
+pub fn check(baseline: Option<&Value>, current: &Value) -> Vec<String> {
+    let mut violations = Vec::new();
+    if let Some(base) = baseline {
+        diff(String::new(), base, current, &mut violations);
+    }
+    violations
+}
+
+/// Appends a violation for each leaf where `base` and `cur` differ. An
+/// array element that names an `app` and a `scenario` is labelled by
+/// them, so a violation reads `experiments[Squid/kitchen-sink].wall_ns`.
+fn diff(path: String, base: &Value, cur: &Value, out: &mut Vec<String>) {
+    match (base, cur) {
+        (Value::Object(b), Value::Object(c)) => {
+            for (key, bv) in b {
+                match cur.get_field(key) {
+                    Some(cv) => diff(format!("{path}.{key}"), bv, cv, out),
+                    None => out.push(format!("{path}.{key}: missing")),
+                }
+            }
+            for (key, _) in c {
+                if base.get_field(key).is_none() {
+                    out.push(format!("{path}.{key}: not in the baseline"));
+                }
+            }
+        }
+        (Value::Array(b), Value::Array(c)) if b.len() == c.len() => {
+            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
+                let row = match (cv["app"].as_str(), cv["scenario"].as_str()) {
+                    (Some(app), Some(scenario)) => format!("{app}/{scenario}"),
+                    _ => i.to_string(),
+                };
+                diff(format!("{path}[{row}]"), bv, cv, out);
+            }
+        }
+        _ if base != cur => out.push(format!(
+            "{}: baseline {}, now {}",
+            path.trim_start_matches('.'),
+            serde_json::to_string(base).unwrap_or_default(),
+            serde_json::to_string(cur).unwrap_or_default()
+        )),
+        _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(kitchen_sink_io_errors: u64) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"experiments": [
+                {{"app": "Squid", "scenario": "none", "wall_ns": 7, "fired": []}},
+                {{"app": "Squid", "scenario": "kitchen-sink", "wall_ns": 9,
+                  "fired": [["wal-append-io", 1]],
+                  "degradation": {{"pool_io_errors": {kitchen_sink_io_errors}}}}}
+            ]}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn check_names_each_field_that_moved() {
+        let base = report(1);
+        assert!(check(Some(&base), &report(1)).is_empty());
+        assert!(check(None, &report(2)).is_empty(), "no baseline, no diff");
+        assert_eq!(
+            check(Some(&base), &report(2)),
+            ["experiments[Squid/kitchen-sink].degradation.pool_io_errors: baseline 1, now 2"]
+        );
+        let mut fewer = report(1);
+        if let Value::Object(members) = &mut fewer {
+            if let Value::Array(rows) = &mut members[0].1 {
+                rows.pop();
+            }
+        }
+        assert_eq!(check(Some(&base), &fewer).len(), 1, "a lost row fails");
+    }
 }

@@ -193,12 +193,7 @@ impl RxRuntime {
             self.process.ctx.with_alloc_and_mem(|alloc, _mem| {
                 expect_ext(alloc).set_normal(PatchSet::new());
             });
-            while self.process.cursor() < failure.input_index {
-                match self.process.step() {
-                    Some(r) if r.is_ok() => {}
-                    _ => break,
-                }
-            }
+            self.process.replay_until(failure.input_index);
             self.process.clear_failure();
             self.process.skip_current();
             self.last_proc_clock = self.process.ctx.clock.now();

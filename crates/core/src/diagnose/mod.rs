@@ -8,13 +8,15 @@
 //! uninitialized read.
 //!
 //! The engine never drives rollback/replay plumbing itself: every trial is
-//! a [`TrialSpec`] re-executed on the supervised process through
-//! [`ReplayHarness::try_reexecute`], one at a time, as in the paper. The
-//! engine's concerns are split across submodules: `probes` (spec
-//! construction, manifestation rules, and the sentry fast path
-//! [`DiagnosisEngine::diagnose_fast`]), `tree` (the O(M·log N) call-site
-//! bisection), and `trial` (fault gate, re-execution, watchdog and ledger
-//! charge for one trial).
+//! a checkpoint, a [`ChangePlan`] and [`ReexecOptions`] re-executed on the
+//! supervised process through [`ReplayHarness::try_reexecute`], one at a
+//! time, as in the paper. The engine's concerns are split across
+//! submodules: `probes` (change-plan construction, manifestation rules,
+//! and the sentry fast path [`DiagnosisEngine::diagnose_fast`]), `tree`
+//! (the O(M·log N) call-site bisection), and `trial` (the per-diagnosis
+//! ledger, and the fault gate and watchdog around each trial).
+//!
+//! [`ReplayHarness::try_reexecute`]: fa_exec::ReplayHarness::try_reexecute
 
 mod probes;
 mod tree;
@@ -24,10 +26,12 @@ use std::cell::Cell;
 
 use fa_allocext::{BugType, ChangePlan, Manifestation, Patch, TrapKind, TrapRecord};
 use fa_checkpoint::CheckpointManager;
-use fa_exec::{FaError, ReplayHarness, TrialLedger as Ledger, TrialSpec};
+use fa_exec::{FaError, ReexecOptions};
 use fa_faults::{FaultPlan, FaultStage};
 use fa_mem::AccessKind;
 use fa_proc::{CallSite, Process};
+
+use trial::Ledger;
 
 /// Maps a sentry trap to the bug type it evidences.
 pub fn trap_bug_type(trap: &TrapRecord) -> BugType {
@@ -141,6 +145,10 @@ pub enum DiagnosisOutcome {
         elapsed_ns: u64,
         /// Diagnosis log.
         log: Vec<String>,
+        /// The diagnosis deadline cut the search short (an injected wedge
+        /// included), as opposed to the search running out of
+        /// checkpoints, re-executions or manifesting bug types.
+        timed_out: bool,
     },
 }
 
@@ -157,8 +165,8 @@ impl Diagnosis {
 /// The diagnosis engine. Almost stateless; state lives in the process,
 /// the checkpoint manager, and the returned [`Diagnosis`] — the engine
 /// itself only tracks the retry, hang and error counters of the current
-/// diagnosis and holds the fault plan it consults before each
-/// re-execution.
+/// diagnosis and holds the fault plan its gate and watchdog consult
+/// around each re-execution.
 pub struct DiagnosisEngine {
     config: EngineConfig,
     faults: FaultPlan,
@@ -210,11 +218,6 @@ impl DiagnosisEngine {
         self.trial_hangs.get()
     }
 
-    /// True once the ledger has consumed the diagnosis deadline.
-    fn past_deadline(&self, ledger: &Ledger) -> bool {
-        ledger.elapsed_ns >= DEADLINE_NS
-    }
-
     /// Diagnoses the pending failure of `process`.
     ///
     /// On return the process is in some rolled-back re-executed state; the
@@ -229,9 +232,9 @@ impl DiagnosisEngine {
             panic!("{}", FaError::NoPendingFailure("diagnose"));
         };
         let f_idx = failure.input_index;
-        let margin_ns = MARGIN_INTERVALS * manager.interval_ns();
-        let until = ReplayHarness::success_end_cursor(process, f_idx, margin_ns);
-        let mut ledger = Ledger::new(format!(
+        let mut lg = Ledger::open(self, process, manager, f_idx);
+        let until = lg.opts.until_cursor;
+        lg.log.push(format!(
             "failure: {} at input #{f_idx} (t={:.3}s); success region ends at #{until}",
             failure.fault,
             failure.at_ns as f64 / 1e9
@@ -240,51 +243,33 @@ impl DiagnosisEngine {
         // Injected wedge: the whole diagnosis hangs and blows its
         // deadline without producing anything.
         if self.faults.should_fail(FaultStage::DiagnosisTimeout) {
-            ledger.elapsed_ns += DEADLINE_NS;
-            ledger.log.push(format!(
+            lg.elapsed_ns += DEADLINE_NS;
+            lg.deadline_exceeded(format!(
                 "diagnosis deadline exceeded after {:.3}s (injected wedge); non-patchable",
                 DEADLINE_NS as f64 / 1e9
             ));
-            return DiagnosisOutcome::NonPatchable {
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-            };
+            return lg.non_patchable();
         }
 
         // --------------------------------------------------------------
         // Phase 0: non-determinism probe at the latest checkpoint.
         // --------------------------------------------------------------
         let Some(newest) = manager.nth_newest(0) else {
-            ledger
-                .log
-                .push("no checkpoints retained; non-patchable".into());
-            return DiagnosisOutcome::NonPatchable {
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-            };
+            lg.log.push("no checkpoints retained; non-patchable".into());
+            return lg.non_patchable();
         };
-        let spec = TrialSpec {
-            ckpt_id: newest.id,
-            plan: ChangePlan::none(),
-            mark: false,
+        let opts = ReexecOptions {
             timing_seed: 0xfa11,
-            until,
+            ..lg.opts
         };
-        let r = self.run(process, manager, &mut ledger, &spec);
+        let r = lg.run(newest.id, ChangePlan::none(), opts);
         if r.passed {
-            ledger.log.push(
+            lg.log.push(
                 "plain re-execution with timing changes passed: non-deterministic bug".into(),
             );
-            return DiagnosisOutcome::NonDeterministic {
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-            };
+            return lg.non_deterministic();
         }
-        ledger
-            .log
+        lg.log
             .push("plain re-execution failed again: deterministic bug".into());
 
         // --------------------------------------------------------------
@@ -292,44 +277,33 @@ impl DiagnosisEngine {
         // --------------------------------------------------------------
         let mut chosen: Option<u64> = None;
         for k in 0..MAX_CHECKPOINT_TRIES {
-            if self.past_deadline(&ledger) {
-                ledger
-                    .log
-                    .push("diagnosis deadline exceeded during phase 1; non-patchable".into());
-                return DiagnosisOutcome::NonPatchable {
-                    rollbacks: ledger.rollbacks,
-                    elapsed_ns: ledger.elapsed_ns,
-                    log: ledger.log,
-                };
+            if lg.past_deadline() {
+                lg.deadline_exceeded("diagnosis deadline exceeded during phase 1; non-patchable");
+                return lg.non_patchable();
             }
             let Some(ckpt) = manager.nth_newest(k) else {
                 break;
             };
             let id = ckpt.id;
-            let r = self.run(process, manager, &mut ledger, &Self::phase1_spec(id, until));
+            let r = Self::phase1(&mut lg, id);
             if r.passed && !r.mark_corrupt() {
-                ledger.log.push(format!(
+                lg.log.push(format!(
                     "phase 1: checkpoint {id} (-{k}) survives with all preventive changes \
                      and clean heap marks"
                 ));
                 chosen = Some(id);
                 break;
             }
-            ledger.log.push(format!(
+            lg.log.push(format!(
                 "phase 1: checkpoint {id} (-{k}) insufficient (passed={}, marks corrupt={})",
                 r.passed,
                 r.mark_corrupt()
             ));
         }
         let Some(ckpt_id) = chosen else {
-            ledger
-                .log
+            lg.log
                 .push("phase 1 exhausted checkpoints: non-patchable".into());
-            return DiagnosisOutcome::NonPatchable {
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-            };
+            return lg.non_patchable();
         };
 
         // --------------------------------------------------------------
@@ -338,30 +312,19 @@ impl DiagnosisEngine {
         let mut su: Vec<BugType> = BugType::ALL.to_vec();
         let mut si: Vec<DiagnosedBug> = Vec::new();
         while let Some(&probe_bug) = su.first() {
-            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(&ledger) {
-                ledger.log.push(if self.past_deadline(&ledger) {
-                    "diagnosis deadline exceeded during phase 2; non-patchable".into()
-                } else {
-                    "re-execution budget exhausted".into()
-                });
-                return DiagnosisOutcome::NonPatchable {
-                    rollbacks: ledger.rollbacks,
-                    elapsed_ns: ledger.elapsed_ns,
-                    log: ledger.log,
-                };
+            if lg.past_deadline() {
+                lg.deadline_exceeded("diagnosis deadline exceeded during phase 2; non-patchable");
+                return lg.non_patchable();
+            }
+            if lg.rollbacks >= MAX_REEXECUTIONS {
+                lg.log.push("re-execution budget exhausted".into());
+                return lg.non_patchable();
             }
             let si_bugs: Vec<BugType> = si.iter().map(|d| d.bug).collect();
             let prevent: Vec<BugType> = su.iter().chain(si_bugs.iter()).copied().collect();
-            let spec = TrialSpec {
-                ckpt_id,
-                plan: ChangePlan::probe(probe_bug, &prevent),
-                mark: false,
-                timing_seed: 0,
-                until,
-            };
-            let r = self.run(process, manager, &mut ledger, &spec);
+            let r = lg.run(ckpt_id, ChangePlan::probe(probe_bug, &prevent), lg.opts);
             let manifested = Self::manifested(probe_bug, &r);
-            ledger.log.push(format!(
+            lg.log.push(format!(
                 "phase 2: probe {probe_bug}: {}",
                 if manifested {
                     "manifested"
@@ -371,50 +334,36 @@ impl DiagnosisEngine {
             ));
             su.retain(|&b| b != probe_bug);
             if manifested {
-                let (sites, evidence) = if probe_bug.directly_identifiable() {
-                    (Self::direct_sites(probe_bug, &r), r.manifests.clone())
+                let sites = if probe_bug.directly_identifiable() {
+                    Self::direct_sites(probe_bug, &r)
                 } else {
                     let prevent_rest: Vec<BugType> = su
                         .iter()
                         .chain(si.iter().map(|d| &d.bug))
                         .copied()
                         .collect();
-                    let sites = self.binary_search_sites(
-                        process,
-                        manager,
-                        ckpt_id,
-                        probe_bug,
-                        &prevent_rest,
-                        &r,
-                        until,
-                        &mut ledger,
-                        &[],
-                    );
-                    (sites, r.manifests.clone())
+                    Self::binary_search_sites(&mut lg, ckpt_id, probe_bug, &prevent_rest, &r, &[])
                 };
-                ledger.log.push(format!(
+                lg.log.push(format!(
                     "phase 2: {probe_bug} triggered at {} call-site(s)",
                     sites.len()
                 ));
                 si.push(DiagnosedBug {
                     bug: probe_bug,
                     sites,
-                    evidence,
+                    evidence: r.manifests,
                 });
 
                 // Coverage check: preventive for Si, exposing for Su.
                 if !su.is_empty() {
                     let si_bugs: Vec<BugType> = si.iter().map(|d| d.bug).collect();
-                    let spec = Self::coverage_spec(ckpt_id, &su, &si_bugs, until);
-                    let r = self.run(process, manager, &mut ledger, &spec);
+                    let r = lg.run(ckpt_id, Self::coverage_plan(&su, &si_bugs), lg.opts);
                     if r.passed && r.manifests.is_empty() {
-                        ledger
-                            .log
+                        lg.log
                             .push("coverage check clean: all bug types identified".into());
                         su.clear();
                     } else {
-                        ledger
-                            .log
+                        lg.log
                             .push("coverage check found residue: continuing".into());
                     }
                 }
@@ -422,28 +371,116 @@ impl DiagnosisEngine {
         }
 
         if si.is_empty() || si.iter().all(|d| d.sites.is_empty()) {
-            ledger
-                .log
+            lg.log
                 .push("no memory bug type manifested: non-patchable".into());
-            return DiagnosisOutcome::NonPatchable {
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-            };
+            return lg.non_patchable();
         }
-        DiagnosisOutcome::Diagnosed(Diagnosis {
-            bugs: si,
-            checkpoint_id: ckpt_id,
-            rollbacks: ledger.rollbacks,
-            elapsed_ns: ledger.elapsed_ns,
-            log: ledger.log,
-            until_cursor: until,
-        })
+        DiagnosisOutcome::Diagnosed(lg.diagnosis(si, ckpt_id))
     }
 }
 
 impl Default for DiagnosisEngine {
     fn default() -> Self {
         DiagnosisEngine::new(EngineConfig::default())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fa_allocext::ExtAllocator;
+    use fa_checkpoint::AdaptiveConfig;
+    use fa_faults::Injection;
+    use fa_proc::{App, BoxedApp, Fault, Input, InputBuilder, ProcessCtx, Response};
+
+    use super::*;
+
+    /// Fails an assertion on op 1: a deterministic failure that no
+    /// environmental change prevents.
+    #[derive(Clone)]
+    struct Asserts;
+
+    impl App for Asserts {
+        fn name(&self) -> &'static str {
+            "asserts"
+        }
+
+        fn handle(&mut self, ctx: &mut ProcessCtx, input: &Input) -> Result<Response, Fault> {
+            ctx.call("serve", |ctx| {
+                let p = ctx.malloc(64)?;
+                ctx.fill(p, 64, 0x42)?;
+                ctx.free(p)?;
+                ctx.check(input.op != 1, "op 1 is unsupported")?;
+                Ok(Response::bytes(64))
+            })
+        }
+
+        fn clone_app(&self) -> BoxedApp {
+            Box::new(self.clone())
+        }
+    }
+
+    /// A crashed process with two checkpoints before the failing input
+    /// and a few inputs queued behind it.
+    fn crashed() -> (Process, CheckpointManager) {
+        let mut ctx = ProcessCtx::new(1 << 26);
+        ctx.swap_alloc(|old| Box::new(ExtAllocator::attach(old.heap().clone())));
+        let mut process = Process::launch(Box::new(Asserts), ctx).expect("launch");
+        let mut manager = CheckpointManager::new(
+            AdaptiveConfig {
+                base_interval_ns: 1_000_000,
+                ..AdaptiveConfig::default()
+            },
+            16,
+        );
+        let normal = || InputBuilder::op(0).gap_us(50).build();
+        for _ in 0..2 {
+            manager.force_checkpoint(&mut process);
+            for _ in 0..4 {
+                assert!(process.feed(normal()).is_ok());
+            }
+        }
+        assert!(!process.feed(InputBuilder::op(1).gap_us(50).build()).is_ok());
+        for _ in 0..4 {
+            process.enqueue(normal());
+        }
+        (process, manager)
+    }
+
+    fn non_patchable(outcome: DiagnosisOutcome) -> (usize, Vec<String>, bool) {
+        match outcome {
+            DiagnosisOutcome::NonPatchable {
+                rollbacks,
+                log,
+                timed_out,
+                ..
+            } => (rollbacks, log, timed_out),
+            other => panic!("expected a non-patchable outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_injected_wedge_is_a_timeout() {
+        let (mut process, manager) = crashed();
+        let wedge = FaultPlan::builder(1)
+            .inject(FaultStage::DiagnosisTimeout, Injection::Nth(vec![0]))
+            .build();
+        let engine = DiagnosisEngine::with_faults(EngineConfig::default(), wedge);
+        let (rollbacks, _, timed_out) = non_patchable(engine.diagnose(&mut process, &manager));
+        assert_eq!(rollbacks, 0, "the wedge runs no trial");
+        assert!(timed_out);
+    }
+
+    #[test]
+    fn running_out_of_phase1_checkpoints_is_not_a_timeout() {
+        let (mut process, manager) = crashed();
+        let engine = DiagnosisEngine::default();
+        let (rollbacks, log, timed_out) = non_patchable(engine.diagnose(&mut process, &manager));
+        // Phase 0, then one all-preventive trial per checkpoint.
+        assert_eq!(rollbacks, 3);
+        assert_eq!(
+            log.last().map(String::as_str),
+            Some("phase 1 exhausted checkpoints: non-patchable")
+        );
+        assert!(!timed_out);
     }
 }

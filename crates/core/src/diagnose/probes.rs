@@ -1,14 +1,14 @@
-//! Probe semantics: trial-spec constructors, manifestation rules, and the
-//! sentry fast path.
+//! Probe semantics: change-plan constructors, manifestation rules, and
+//! the sentry fast path.
 
 use fa_allocext::{BugType, ChangePlan, Manifestation, Mode, TrapRecord};
 use fa_checkpoint::CheckpointManager;
-use fa_exec::{ReplayHarness, RunReport, TrialLedger as Ledger, TrialSpec};
+use fa_exec::{ReexecOptions, RunReport};
 use fa_faults::FaultStage;
 use fa_proc::{CallSite, Process};
 
 use super::{
-    trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, MARGIN_INTERVALS,
+    trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, Ledger,
     MAX_CHECKPOINT_TRIES, MAX_REEXECUTIONS,
 };
 
@@ -34,10 +34,9 @@ impl DiagnosisEngine {
     ) -> Option<Diagnosis> {
         let failure = process.failure.clone()?;
         let f_idx = failure.input_index;
-        let margin_ns = MARGIN_INTERVALS * manager.interval_ns();
-        let until = ReplayHarness::success_end_cursor(process, f_idx, margin_ns);
         let bug = trap_bug_type(trap);
-        let mut ledger = Ledger::new(format!(
+        let mut lg = Ledger::open(self, process, manager, f_idx);
+        lg.log.push(format!(
             "sentry fast path: {} trap at input #{f_idx} suggests {bug}",
             trap.kind
         ));
@@ -52,16 +51,16 @@ impl DiagnosisEngine {
         // checkpoint would see only a suffix of the triggering sites.
         let mut chosen: Option<u64> = None;
         for k in 0..MAX_CHECKPOINT_TRIES {
-            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(&ledger) {
+            if lg.rollbacks >= MAX_REEXECUTIONS || lg.past_deadline() {
                 return None;
             }
             let Some(ckpt) = manager.nth_newest(k) else {
                 break;
             };
             let id = ckpt.id;
-            let r = self.run(process, manager, &mut ledger, &Self::phase1_spec(id, until));
+            let r = Self::phase1(&mut lg, id);
             if r.passed && !r.mark_corrupt() {
-                ledger.log.push(format!(
+                lg.log.push(format!(
                     "fast path: checkpoint {id} (-{k}) precedes the trigger"
                 ));
                 chosen = Some(id);
@@ -69,83 +68,50 @@ impl DiagnosisEngine {
             }
         }
         let ckpt_id = chosen?;
-        {
-            // One confirming re-execution: the suspected type exposing,
-            // everything else preventive.
-            let spec = TrialSpec {
-                ckpt_id,
-                plan: ChangePlan::probe(bug, &BugType::ALL),
-                mark: false,
-                timing_seed: 0,
-                until,
-            };
-            let r = self.run(process, manager, &mut ledger, &spec);
-            if !Self::manifested(bug, &r) {
-                ledger.log.push(format!(
-                    "fast path: {bug} did not manifest from checkpoint {ckpt_id}; full ladder"
-                ));
-                return None;
-            }
-            ledger.log.push(format!(
-                "fast path: {bug} confirmed from checkpoint {ckpt_id}"
+        // One confirming re-execution: the suspected type exposing,
+        // everything else preventive.
+        let r = lg.run(ckpt_id, ChangePlan::probe(bug, &BugType::ALL), lg.opts);
+        if !Self::manifested(bug, &r) {
+            lg.log.push(format!(
+                "fast path: {bug} did not manifest from checkpoint {ckpt_id}; full ladder"
             ));
-            let sites = if bug.directly_identifiable() {
-                Self::direct_sites(bug, &r)
-            } else {
-                let seed = trap_seed_site(trap, bug)?;
-                let mut plan = ChangePlan::probe(bug, &BugType::ALL);
-                *plan.mode_mut(bug) = Mode::ExposeExcept([seed].into_iter().collect());
-                let spec = TrialSpec {
-                    ckpt_id,
-                    plan,
-                    mark: false,
-                    timing_seed: 0,
-                    until,
-                };
-                let r2 = self.run(process, manager, &mut ledger, &spec);
-                if !Self::manifested(bug, &r2) {
-                    ledger.log.push(format!(
-                        "fast path: trapped call-site {:x?} alone accounts for the bug",
-                        seed.0
-                    ));
-                    vec![seed]
-                } else {
-                    ledger
-                        .log
-                        .push("fast path: residue beyond the trapped site; seeded search".into());
-                    self.binary_search_sites(
-                        process,
-                        manager,
-                        ckpt_id,
-                        bug,
-                        &BugType::ALL,
-                        &r,
-                        until,
-                        &mut ledger,
-                        &[seed],
-                    )
-                }
-            };
-            if sites.is_empty() {
-                return None;
-            }
-            ledger.log.push(format!(
-                "fast path: {bug} triggered at {} call-site(s)",
-                sites.len()
-            ));
-            Some(Diagnosis {
-                bugs: vec![DiagnosedBug {
-                    bug,
-                    sites,
-                    evidence: r.manifests.clone(),
-                }],
-                checkpoint_id: ckpt_id,
-                rollbacks: ledger.rollbacks,
-                elapsed_ns: ledger.elapsed_ns,
-                log: ledger.log,
-                until_cursor: until,
-            })
+            return None;
         }
+        lg.log.push(format!(
+            "fast path: {bug} confirmed from checkpoint {ckpt_id}"
+        ));
+        let sites = if bug.directly_identifiable() {
+            Self::direct_sites(bug, &r)
+        } else {
+            let seed = trap_seed_site(trap, bug)?;
+            let mut plan = ChangePlan::probe(bug, &BugType::ALL);
+            *plan.mode_mut(bug) = Mode::ExposeExcept([seed].into_iter().collect());
+            let r2 = lg.run(ckpt_id, plan, lg.opts);
+            if !Self::manifested(bug, &r2) {
+                lg.log.push(format!(
+                    "fast path: trapped call-site {:x?} alone accounts for the bug",
+                    seed.0
+                ));
+                vec![seed]
+            } else {
+                lg.log
+                    .push("fast path: residue beyond the trapped site; seeded search".into());
+                Self::binary_search_sites(&mut lg, ckpt_id, bug, &BugType::ALL, &r, &[seed])
+            }
+        };
+        if sites.is_empty() {
+            return None;
+        }
+        lg.log.push(format!(
+            "fast path: {bug} triggered at {} call-site(s)",
+            sites.len()
+        ));
+        let bugs = vec![DiagnosedBug {
+            bug,
+            sites,
+            evidence: r.manifests,
+        }];
+        Some(lg.diagnosis(bugs, ckpt_id))
     }
 
     /// Decides whether bug type `b` manifested in a probe run.
@@ -192,27 +158,21 @@ impl DiagnosisEngine {
 
     /// The phase-1 trial at checkpoint `id`: all preventive changes with
     /// heap marking.
-    pub(super) fn phase1_spec(id: u64, until: usize) -> TrialSpec {
-        TrialSpec {
-            ckpt_id: id,
-            plan: ChangePlan {
-                heap_marking: true,
-                ..ChangePlan::all_preventive()
-            },
-            mark: true,
-            timing_seed: 0,
-            until,
-        }
+    pub(super) fn phase1(lg: &mut Ledger, id: u64) -> RunReport {
+        let plan = ChangePlan {
+            heap_marking: true,
+            ..ChangePlan::all_preventive()
+        };
+        let opts = ReexecOptions {
+            mark_heap: true,
+            ..lg.opts
+        };
+        lg.run(id, plan, opts)
     }
 
-    /// The coverage-check trial: preventive for the identified set,
+    /// The coverage-check plan: preventive for the identified set,
     /// exposing for the rest.
-    pub(super) fn coverage_spec(
-        ckpt: u64,
-        su: &[BugType],
-        si: &[BugType],
-        until: usize,
-    ) -> TrialSpec {
+    pub(super) fn coverage_plan(su: &[BugType], si: &[BugType]) -> ChangePlan {
         let mut plan = ChangePlan::none();
         for &b in si {
             *plan.mode_mut(b) = Mode::Prevent;
@@ -220,12 +180,6 @@ impl DiagnosisEngine {
         for &b in su {
             *plan.mode_mut(b) = Mode::Expose;
         }
-        TrialSpec {
-            ckpt_id: ckpt,
-            plan,
-            mark: false,
-            timing_seed: 0,
-            until,
-        }
+        plan
     }
 }

@@ -10,26 +10,22 @@
 use std::collections::HashSet;
 
 use fa_allocext::{BugType, ChangePlan, Mode};
-use fa_checkpoint::CheckpointManager;
-use fa_exec::{RunReport, TrialLedger as Ledger, TrialSpec};
-use fa_proc::{CallSite, Process};
+use fa_exec::RunReport;
+use fa_proc::CallSite;
 
-use super::{DiagnosisEngine, MAX_REEXECUTIONS};
+use super::{DiagnosisEngine, Ledger, MAX_REEXECUTIONS};
 
 impl DiagnosisEngine {
     /// Binary call-site search for dangling-read / uninit-read bugs:
-    /// O(M·log N) re-executions for M triggering sites among N candidates.
-    #[allow(clippy::too_many_arguments)]
+    /// O(M·log N) re-executions for M triggering sites among N candidates,
+    /// all from checkpoint `ckpt_id` with the `prevent` types preventive.
+    /// `seeded` sites count as identified from the start.
     pub(super) fn binary_search_sites(
-        &self,
-        process: &mut Process,
-        manager: &CheckpointManager,
+        lg: &mut Ledger,
         ckpt_id: u64,
         bug: BugType,
         prevent: &[BugType],
         first_probe: &RunReport,
-        until: usize,
-        ledger: &mut Ledger,
         seeded: &[CallSite],
     ) -> Vec<CallSite> {
         let mut identified: Vec<CallSite> = seeded.to_vec();
@@ -41,12 +37,11 @@ impl DiagnosisEngine {
         };
 
         loop {
-            if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(ledger) {
-                if self.past_deadline(ledger) {
-                    ledger
-                        .log
-                        .push("diagnosis deadline exceeded during binary search".into());
-                }
+            if lg.past_deadline() {
+                lg.deadline_exceeded("diagnosis deadline exceeded during binary search");
+                break;
+            }
+            if lg.rollbacks >= MAX_REEXECUTIONS {
                 break;
             }
             // Do the remaining candidates still trigger the bug with the
@@ -54,14 +49,7 @@ impl DiagnosisEngine {
             let except: HashSet<CallSite> = identified.iter().copied().collect();
             let mut plan = ChangePlan::probe(bug, prevent);
             *plan.mode_mut(bug) = Mode::ExposeExcept(except);
-            let spec = TrialSpec {
-                ckpt_id,
-                plan,
-                mark: false,
-                timing_seed: 0,
-                until,
-            };
-            let r = self.run(process, manager, ledger, &spec);
+            let r = lg.run(ckpt_id, plan, lg.opts);
             if !Self::manifested(bug, &r) {
                 break;
             }
@@ -85,21 +73,14 @@ impl DiagnosisEngine {
                 break;
             }
             while range.len() > 1 {
-                if ledger.rollbacks >= MAX_REEXECUTIONS || self.past_deadline(ledger) {
+                if lg.rollbacks >= MAX_REEXECUTIONS || lg.past_deadline() {
                     break;
                 }
                 let half: Vec<CallSite> = range[..range.len() / 2].to_vec();
                 let half_set: HashSet<CallSite> = half.iter().copied().collect();
                 let mut plan = ChangePlan::probe(bug, prevent);
                 *plan.mode_mut(bug) = Mode::ExposeOnly(half_set);
-                let spec = TrialSpec {
-                    ckpt_id,
-                    plan,
-                    mark: false,
-                    timing_seed: 0,
-                    until,
-                };
-                let r = self.run(process, manager, ledger, &spec);
+                let r = lg.run(ckpt_id, plan, lg.opts);
                 if Self::manifested(bug, &r) {
                     range = half;
                 } else {
@@ -107,7 +88,7 @@ impl DiagnosisEngine {
                 }
             }
             let site = range[0];
-            ledger.log.push(format!(
+            lg.log.push(format!(
                 "binary search: identified {bug} trigger call-site {:x?}",
                 site.0
             ));

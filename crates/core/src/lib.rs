@@ -85,13 +85,9 @@ pub use runtime::{
 };
 pub use validate::{ValidationEngine, ValidationOutcome};
 
-// Re-export the trial-execution substrate so drivers (sentry fast paths,
-// fleet workers, benches) can run trials without depending on fa-exec
-// directly.
-pub use fa_exec::{
-    Backoff, FaError, FaResult, FaultGate, ReexecOptions, ReplayHarness, RunReport, TrialLedger,
-    TrialSpec, Watchdog, ROLLBACK_COST_NS,
-};
+// Re-export the replay harness so tests and benches can run a trial
+// without depending on fa-exec directly.
+pub use fa_exec::{FaError, FaResult, ReexecOptions, ReplayHarness, RunReport};
 
 // Re-export the patch and bug-type vocabulary for downstream users.
 pub use fa_allocext::{BugType, Patch, PatchSet, PreventiveChange, GENERIC_SITE};

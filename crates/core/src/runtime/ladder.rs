@@ -4,7 +4,7 @@
 //! decision.
 
 use fa_allocext::{BugType, Patch, TrapRecord, GENERIC_SITE};
-use fa_exec::ROLLBACK_COST_NS;
+use fa_checkpoint::ROLLBACK_COST_NS;
 use fa_proc::FailureRecord;
 
 use crate::log;
@@ -63,12 +63,7 @@ impl FirstAidRuntime {
         self.manager.rollback_to(&mut self.process, target);
         self.install_patchset(patchset);
         let t0 = self.process.ctx.clock.now();
-        while self.process.cursor() < failure.input_index {
-            match self.process.step() {
-                Some(r) if r.is_ok() => {}
-                _ => break,
-            }
-        }
+        self.process.replay_until(failure.input_index);
         let mut served_through = false;
         if self.process.failure.is_some() {
             // The replay itself failed en route; drop whatever input it

@@ -476,14 +476,14 @@ impl FirstAidRuntime {
             }
             StepResult::Failed(_) => {
                 let skipped_before = self.process.skipped_count();
-                let idx = self.recover();
+                let recovery = self.recover().ok();
                 // After recovery the failing input either succeeded during
                 // the (possibly generic-)patched replay or was skipped.
                 let served = self.process.skipped_count() == skipped_before;
                 FeedOutcome {
                     served,
                     failed: true,
-                    recovery: Some(idx),
+                    recovery,
                 }
             }
         }
@@ -513,7 +513,7 @@ impl FirstAidRuntime {
                     // A pending failure without a step means recover; if
                     // the process is wedged with neither progress nor a
                     // failure, bail out rather than spin.
-                    if self.try_recover().is_err() {
+                    if self.recover().is_err() {
                         break;
                     }
                     summary.recoveries += 1;
@@ -536,16 +536,18 @@ impl FirstAidRuntime {
                             self.process.raise_failure(Fault::Heap(e));
                             summary.failures += 1;
                             self.sync_wall();
-                            self.recover();
-                            summary.recoveries += 1;
+                            if self.recover().is_ok() {
+                                summary.recoveries += 1;
+                            }
                         }
                     }
                 }
                 Some(StepResult::Failed(_)) => {
                     summary.failures += 1;
                     self.sync_wall();
-                    self.recover();
-                    summary.recoveries += 1;
+                    if self.recover().is_ok() {
+                        summary.recoveries += 1;
+                    }
                 }
             }
             if let Some(s) = sampler.as_deref_mut() {

@@ -3,7 +3,8 @@
 //! validation.
 
 use fa_allocext::TrapRecord;
-use fa_exec::{FaError, ROLLBACK_COST_NS};
+use fa_checkpoint::ROLLBACK_COST_NS;
+use fa_exec::FaError;
 use fa_proc::FailureRecord;
 
 use crate::diagnose::{trap_bug_type, trap_seed_site, DiagnosisEngine, DiagnosisOutcome};
@@ -40,25 +41,15 @@ impl FirstAidRuntime {
     }
 
     /// Diagnoses the pending failure, installs patches, resumes execution,
-    /// validates, and files a [`RecoveryRecord`]. Returns its index.
+    /// validates, and files a [`RecoveryRecord`]. Returns its index, or
+    /// [`FaError::NoPendingFailure`] if no failure is pending.
     ///
     /// When precise diagnosis is impossible (timeout, flaky re-execution,
     /// lost checkpoints, revoked patches), recovery descends the
     /// degradation ladder instead of giving up: generic best-effort
     /// patches → rollback-and-drop → (via [`FirstAidRuntime::needs_restart`])
     /// drop-and-restart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no failure is pending; [`FirstAidRuntime::try_recover`]
-    /// is the non-panicking form.
-    pub fn recover(&mut self) -> usize {
-        self.try_recover().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`FirstAidRuntime::recover`]: returns an error instead of
-    /// panicking when no failure is pending.
-    pub fn try_recover(&mut self) -> Result<usize, FaError> {
+    pub fn recover(&mut self) -> Result<usize, FaError> {
         let Some(failure) = self.process.failure.clone() else {
             return Err(FaError::NoPendingFailure("recover"));
         };
@@ -200,10 +191,13 @@ impl FirstAidRuntime {
                 }
             }
             DiagnosisOutcome::NonPatchable {
-                elapsed_ns, log, ..
+                elapsed_ns,
+                log,
+                timed_out,
+                ..
             } => {
                 self.wall_ns += elapsed_ns;
-                if log.iter().any(|l| l.contains("deadline exceeded")) {
+                if timed_out {
                     self.degradation.diagnosis_timeouts += 1;
                 }
                 self.descend_ladder(&failure, wall_at_failure, log, &sig, trap.as_ref())
@@ -250,12 +244,7 @@ impl FirstAidRuntime {
                 // time is "from when the failure is first caught to when
                 // the program changes back to normal mode").
                 let t0 = self.process.ctx.clock.now();
-                while self.process.cursor() <= failure.input_index {
-                    match self.process.step() {
-                        Some(r) if r.is_ok() => {}
-                        _ => break,
-                    }
-                }
+                self.process.replay_until(failure.input_index + 1);
                 if self.process.failure.is_some() {
                     // The patch did not carry the replay through the
                     // region (should not happen after a clean phase 1);

@@ -110,12 +110,7 @@ impl ValidationEngine {
             fork.ctx.with_alloc_and_mem(|alloc, _mem| {
                 expect_ext(alloc).set_validation(patches.clone(), seed);
             });
-            while fork.cursor() < until_cursor {
-                match fork.step() {
-                    Some(r) if r.is_ok() => {}
-                    _ => break,
-                }
-            }
+            fork.replay_until(until_cursor);
             validation_ns += fork.ctx.clock.now().saturating_sub(t0);
             if let Some(f) = &fork.failure {
                 failure_reason = Some(format!(
@@ -142,12 +137,7 @@ impl ValidationEngine {
             fork.ctx.with_alloc_and_mem(|alloc, _mem| {
                 expect_ext(alloc).set_validation(PatchSet::new(), 0);
             });
-            while fork.cursor() < until_cursor {
-                match fork.step() {
-                    Some(r) if r.is_ok() => {}
-                    _ => break,
-                }
-            }
+            fork.replay_until(until_cursor);
             fork.ctx
                 .with_alloc_and_mem(|alloc, _mem| expect_ext(alloc).take_trace())
         };

@@ -22,8 +22,9 @@ pub const FAULT_SCENARIOS: &[&str] = &[
 /// Builds the named fault scenario with the given seed.
 ///
 /// Returns `None` for an unknown name. `"none"` is the identity plan
-/// (production behavior); `"kitchen-sink"` hits every stage
-/// probabilistically and is what the liveness property tests lean on.
+/// (production behavior); `"kitchen-sink"` arms every stage at once, so
+/// one run combines whichever of them fire. The liveness property test
+/// (`fa-faults/tests/liveness.rs`) builds its own random plans instead.
 pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
     let plan = match name {
         "none" => FaultPlan::none(),
@@ -56,14 +57,18 @@ pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
         "wal-io" => FaultPlan::builder(seed)
             .inject(FaultStage::WalAppendIo, Injection::EveryNth(1))
             .build(),
-        // Everything at once, probabilistically.
+        // Everything at once: the pipeline stages probabilistically, and
+        // the first journal append once. A run journals only its pool
+        // transitions, often a single append, so a per-mille schedule
+        // would seldom reach one; this fails the first attempt and lets
+        // the retry through, without degrading the pool as `wal-io` does.
         "kitchen-sink" => FaultPlan::builder(seed)
             .inject(FaultStage::CheckpointCorrupt, Injection::PerMille(200))
             .inject(FaultStage::ReexecFlaky, Injection::PerMille(200))
             .inject(FaultStage::DiagnosisTimeout, Injection::PerMille(150))
             .inject(FaultStage::TrialHang, Injection::PerMille(150))
             .inject(FaultStage::ValidationFork, Injection::PerMille(300))
-            .inject(FaultStage::WalAppendIo, Injection::PerMille(200))
+            .inject(FaultStage::WalAppendIo, Injection::Nth(vec![0]))
             .build(),
         _ => return None,
     };
@@ -81,6 +86,14 @@ mod tests {
             assert_eq!(plan.is_noop(), *name == "none", "{name}");
         }
         assert!(fault_scenario("no-such-scenario", 7).is_none());
+    }
+
+    #[test]
+    fn kitchen_sink_fails_the_first_journal_append_at_the_bench_seed() {
+        let plan = fault_scenario("kitchen-sink", 0xfa017).unwrap();
+        assert!(plan.should_fail(FaultStage::WalAppendIo), "first attempt");
+        assert!(!plan.should_fail(FaultStage::WalAppendIo), "its retry");
+        assert!(!plan.should_fail(FaultStage::WalAppendIo));
     }
 
     #[test]

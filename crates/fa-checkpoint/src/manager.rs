@@ -296,20 +296,12 @@ impl CheckpointManager {
         self.ring.is_empty()
     }
 
-    /// Rolls the process back to the given checkpoint, charging the fixed
-    /// [`ROLLBACK_COST_NS`].
-    pub fn rollback_to(&self, process: &mut Process, id: u64) -> bool {
-        self.restore_into(process, id)
-    }
-
-    /// Restores a trial context from checkpoint `id` without touching the
-    /// ring: the same checksum verification, restore, fixed rollback cost,
-    /// and dirty-page reset as [`Self::rollback_to`], applied to any
-    /// process — the supervised one or a pooled/forked trial context. This
-    /// is the checkpoint entry point of the fa-exec trial substrate.
-    /// Returns `false` if the id is not retained or the checkpoint fails
+    /// Rolls the process back to checkpoint `id` without touching the
+    /// ring: restores the snapshot, charges the fixed
+    /// [`ROLLBACK_COST_NS`] and resets the dirty-page set. Returns
+    /// `false` if the id is not retained or the checkpoint fails
     /// [`Checkpoint::verify`].
-    pub fn restore_into(&self, trial: &mut Process, id: u64) -> bool {
+    pub fn rollback_to(&self, process: &mut Process, id: u64) -> bool {
         let Some(ckpt) = self.ring.iter().find(|c| c.id == id) else {
             return false;
         };
@@ -318,11 +310,11 @@ impl CheckpointManager {
         if !ckpt.verify() {
             return false;
         }
-        trial.restore(&ckpt.snap);
+        process.restore(&ckpt.snap);
         // Reinstating the saved task state costs the same for every
         // snapshot size.
-        trial.ctx.clock.advance(ROLLBACK_COST_NS);
-        trial.ctx.mem.take_dirty_pages();
+        process.ctx.clock.advance(ROLLBACK_COST_NS);
+        process.ctx.mem.take_dirty_pages();
         true
     }
 

@@ -1,4 +1,4 @@
-//! Typed errors for the trial-execution substrate.
+//! Typed errors for the replay harness.
 //!
 //! Historically the core crate asserted its way through trial setup:
 //! a missing checkpoint, a corrupt snapshot, or a foreign allocator
@@ -43,7 +43,7 @@ impl fmt::Display for FaError {
 
 impl std::error::Error for FaError {}
 
-/// Result alias used throughout the substrate.
+/// Result alias used throughout the harness.
 pub type FaResult<T> = Result<T, FaError>;
 
 #[cfg(test)]

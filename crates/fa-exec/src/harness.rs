@@ -1,6 +1,6 @@
 //! The re-execution harness: rollback + environmental changes + replay.
 //!
-//! Every diagnosis iteration is one call to [`ReplayHarness::reexecute`]:
+//! Every diagnosis iteration is one call to [`ReplayHarness::try_reexecute`]:
 //! roll the process back to a checkpoint, configure the allocator
 //! extension with a [`ChangePlan`] (optionally heap-marking the rolled-back
 //! heap first), replay the input log through the failure region, scan for
@@ -13,7 +13,7 @@ use fa_proc::{CallSite, FailureRecord, Process};
 use crate::error::{FaError, FaResult};
 
 /// Options for one re-execution iteration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ReexecOptions {
     /// Apply heap marking after rollback (phase 1, Fig. 3 defence).
     pub mark_heap: bool,
@@ -108,9 +108,9 @@ impl ReplayHarness {
         manager
             .get(ckpt_id)
             .ok_or(FaError::CheckpointMissing(ckpt_id))?;
-        // The id is retained, so `restore_into` fails only on a checkpoint
+        // The id is retained, so `rollback_to` fails only on a checkpoint
         // that does not verify.
-        if !manager.restore_into(process, ckpt_id) {
+        if !manager.rollback_to(process, ckpt_id) {
             return Err(FaError::CheckpointCorrupt(ckpt_id));
         }
         Self::try_replay_after_rollback(process, plan, opts)

@@ -1,21 +1,16 @@
-//! # fa-exec — the unified trial-execution substrate
+//! # fa-exec — the replay harness
 //!
 //! First-Aid's diagnosis loop is *re-execution under environmental
 //! changes* (paper §3.3): roll the crashed process back to a checkpoint,
 //! perturb the allocator's behaviour, replay the logged inputs, and see
-//! whether the failure moves. Only `first-aid-core` drives that loop:
-//! its diagnosis engine (the full search and the fast path that sentry
-//! traps seed), the recovery path and degradation ladder around it, and
-//! the Rx baseline. fa-fleet uses only [`Backoff`]. This crate
-//! is the one place the loop is implemented:
+//! whether the failure moves. This crate runs one such trial on the
+//! supervised process; which trials to run, and what a lost or hung one
+//! costs, is the diagnosis engine's policy in `first-aid-core`:
 //!
 //! * [`ReplayHarness`] — rollback through the checkpoint ring +
-//!   [`ChangePlan`](fa_allocext::ChangePlan) + replay + scan, with
-//!   panicking and fallible (`try_`) entry points;
-//! * [`TrialSpec`] — a trial as a pure value;
-//! * [`FaultGate`] / [`Watchdog`] / [`TrialLedger`] — injected-flakiness
-//!   resolution and hung-trial reaping, once per trial in trial order,
-//!   and virtual-clock accounting;
+//!   [`ChangePlan`](fa_allocext::ChangePlan) + replay with the
+//!   deployment's integrity monitor + final canary scan, as a
+//!   [`RunReport`], with panicking and fallible (`try_`) entry points;
 //! * [`FaError`] — typed failures, so a trial that cannot run degrades
 //!   instead of aborting the supervisor.
 //!
@@ -25,17 +20,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
-mod backoff;
 mod error;
 mod harness;
-mod spec;
-mod substrate;
-mod watchdog;
 
-pub use backoff::Backoff;
 pub use error::{FaError, FaResult};
-pub use fa_checkpoint::ROLLBACK_COST_NS;
 pub use harness::{expect_ext, try_ext, ReexecOptions, ReplayHarness, RunReport};
-pub use spec::TrialSpec;
-pub use substrate::{FaultGate, TrialLedger};
-pub use watchdog::Watchdog;

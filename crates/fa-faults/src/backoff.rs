@@ -1,12 +1,12 @@
 //! Seeded, jittered exponential backoff.
 //!
-//! One policy object replaces the hand-rolled backoff loops that used
-//! to live in the fleet worker crash-loop, the diagnosis retry gate,
-//! and the journal append retry. All time here is *virtual*:
-//! callers charge the returned delays to their own virtual clocks, so
-//! the schedule is deterministic and free of wall-clock sleeps.
+//! One policy object for the fleet worker crash-loop pauses and the
+//! diagnosis engine's flaky-retry and hung-trial penalties. All time
+//! here is *virtual*: callers charge the returned delays to their own
+//! virtual clocks, so the schedule is deterministic and free of
+//! wall-clock sleeps.
 
-use fa_faults::splitmix64;
+use crate::splitmix64;
 
 /// Exponential backoff with optional deterministic jitter.
 ///

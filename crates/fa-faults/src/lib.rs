@@ -17,12 +17,20 @@
 //! checkpoint manager, the diagnosis engine, and the patch pool's
 //! journal (`fa_wal::Wal::with_faults`) keeps a single consistent
 //! timeline.
+//!
+//! [`Backoff`], the seeded exponential backoff that fleet crash-loops
+//! and the diagnosis engine's retry penalties share, lives here beside
+//! [`splitmix64`], the jitter mixer it is built on.
 
 #![forbid(unsafe_code)]
+
+mod backoff;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+pub use backoff::Backoff;
 
 /// Number of injectable pipeline stages.
 pub const STAGES: usize = 6;

@@ -2,7 +2,7 @@
 
 use std::sync::mpsc::Receiver;
 
-use fa_exec::Backoff;
+use fa_faults::Backoff;
 use fa_proc::Input;
 use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, ThroughputSampler};
 

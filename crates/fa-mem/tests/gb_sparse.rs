@@ -2,8 +2,8 @@
 //! never mapped extent, and snapshot cost must track *dirtied* pages.
 //!
 //! The radix page table makes a multi-GB region free until written —
-//! this is what lets fa-exec pool thousands of trial contexts with
-//! full-size heaps. These tests map regions far larger than physical
+//! this is what lets a checkpoint ring or a validation fork share a
+//! full-size heap. These tests map regions far larger than physical
 //! memory could back (multiple GiB inside the 512 GiB virtual space)
 //! and assert the proportionality properties directly.
 

@@ -211,6 +211,19 @@ impl Process {
         }
     }
 
+    /// Replays logged inputs while the cursor is below `end`, stopping at
+    /// a failure (left pending in [`Self::failure`]) or at the end of the
+    /// log. Recovery, the degradation ladder, validation and the Rx
+    /// baseline all replay through this one loop.
+    pub fn replay_until(&mut self, end: usize) {
+        while self.cursor < end {
+            match self.step() {
+                Some(r) if r.is_ok() => {}
+                _ => break,
+            }
+        }
+    }
+
     /// Feeds one input: enqueue and execute.
     pub fn feed(&mut self, input: Input) -> StepResult {
         self.enqueue(input);
@@ -423,6 +436,29 @@ mod tests {
         // The poisoned input fails again deterministically.
         let r = p.step().unwrap();
         assert!(!r.is_ok());
+    }
+
+    #[test]
+    fn replay_until_stops_at_the_end_a_failure_or_the_log_end() {
+        let mut p = launch();
+        p.feed(InputBuilder::op(1).a(10).build());
+        let snap = p.snapshot();
+        p.feed(InputBuilder::op(1).a(20).build());
+        p.feed(InputBuilder::op(1).a(30).build());
+        p.enqueue(InputBuilder::op(99).build());
+        p.enqueue(InputBuilder::op(1).a(40).build());
+        p.restore(&snap);
+        p.replay_until(2);
+        assert_eq!(p.cursor(), 2);
+        assert!(p.failure.is_none());
+        // The failing input stays pending at the cursor.
+        p.replay_until(5);
+        assert_eq!(p.cursor(), 3);
+        assert_eq!(p.failure.as_ref().map(|f| f.input_index), Some(3));
+        p.clear_failure();
+        p.skip_current();
+        p.replay_until(usize::MAX);
+        assert_eq!(p.cursor(), p.log().len());
     }
 
     #[test]

@@ -21,8 +21,11 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # directory must fail zero times (the example asserts it).
 cargo run --release --offline --example patch_persistence
 
-# Fault-injection liveness gate: every named scenario must leave the
-# runtime live (input conservation is asserted inside the bench).
+# Fault-injection gate: the full 16-case matrix (every named scenario on
+# Apache and Squid) must conserve its input stream (asserted inside the
+# bench) and match results/faults.json in every field. All of them are
+# on the virtual clock, so a changed retry gate, watchdog or trial
+# penalty fails the comparison.
 cargo run --release --offline -p fa-bench --bin faults -- --check
 
 # Performance regression gate: wall-clock throughput and snapshot cost

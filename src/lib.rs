@@ -25,8 +25,9 @@
 //!   delay-free quarantine, patches, traces ([`fa_allocext`]),
 //! * [`checkpoint`] — checkpoint ring + adaptive interval controller
 //!   ([`fa_checkpoint`]),
-//! * [`exec`] — the unified trial-execution substrate: replay harness,
-//!   trial specs, fault gate, watchdog and trial ledger ([`fa_exec`]),
+//! * [`exec`] — the replay harness: one diagnosis trial (rollback,
+//!   change plan, replay, canary scan) on the supervised process
+//!   ([`fa_exec`]),
 //! * [`core`] — the diagnosis engine, patch pool, validation engine, bug
 //!   reports, supervisor runtime, and the Rx/restart baselines
 //!   ([`first_aid_core`]),
