@@ -2,7 +2,7 @@
 //! Squid. Prints one row per (app, scenario) cell and writes the
 //! machine-readable report to `results/faults.json`.
 //!
-//! `--check` runs the same 16-case matrix and writes nothing — the CI
+//! `--check` runs the same 18-case matrix and writes nothing — the CI
 //! mode: every field must equal the committed `results/faults.json`
 //! (all of them are on the virtual clock), and input conservation is
 //! asserted inside `run_case`.
@@ -17,7 +17,6 @@ struct Results {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
     let mut results = Results {
         experiments: Vec::new(),
     };
@@ -29,13 +28,5 @@ fn main() {
             results.experiments.push(exp);
         }
     }
-    if check {
-        let baseline: Option<serde_json::Value> = gate::baseline("faults");
-        gate::enforce(
-            "faults",
-            &faults::check(baseline.as_ref(), &results.to_value()),
-        );
-        return;
-    }
-    gate::write_results("faults", &results);
+    gate::check_or_write("faults", &results);
 }

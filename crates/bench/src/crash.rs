@@ -57,8 +57,9 @@ pub struct CrashReport {
 ///
 /// # Panics
 ///
-/// Panics if the fleet fails to diagnose during the cold run (there is
-/// then no pool state worth recovering).
+/// Panics if a fleet worker cannot be launched, or if the fleet fails
+/// to diagnose during the cold run (there is then no pool state worth
+/// recovering).
 pub fn run_case(
     spec: &AppSpec,
     workers: usize,
@@ -87,12 +88,8 @@ pub fn run_case(
     let t0 = Instant::now();
     let pool = PatchPool::journaled(&dir).expect("scratch journal dir");
     let fleet = Fleet::new(spec.build, config.clone()).with_pool(pool.clone());
-    let r = fleet.run(sharded_stream(
-        spec,
-        &shards,
-        per_shard,
-        0xc0 + trigger as u64,
-    ));
+    let cold = sharded_stream(spec, &shards, per_shard, 0xc0 + trigger as u64);
+    let r = fleet.run(cold).expect("cold fleet launches");
     let cold_start_ns = (t0.elapsed().as_nanos() as u64).max(1);
     assert!(r.patched >= 1, "{}: cold run must diagnose", spec.key);
     let pool_epoch = pool.epoch(&program);
@@ -111,12 +108,8 @@ pub fn run_case(
     let reconverged = recovered.export_state(&program) == export;
 
     // The recovered fleet serves a triggered workload already immunized.
-    let warm = fleet.run(sharded_stream(
-        spec,
-        &shards,
-        per_shard,
-        0xd0 + trigger as u64,
-    ));
+    let warm = sharded_stream(spec, &shards, per_shard, 0xd0 + trigger as u64);
+    let warm = fleet.run(warm).expect("recovered fleet launches");
     let _ = std::fs::remove_dir_all(&dir);
 
     CrashExperiment {

@@ -13,9 +13,6 @@ use serde::Serialize;
 
 use crate::paper_config;
 
-/// Downtime charged per whole-process restart (1.5 virtual seconds).
-pub const RESTART_COST_NS: u64 = 1_500_000_000;
-
 /// Sampling window (250 ms).
 pub const WINDOW_NS: u64 = 250_000_000;
 
@@ -97,7 +94,7 @@ pub fn run_app(spec: &AppSpec, n: usize, period: usize) -> Fig4 {
 
     let restart = {
         let mut sampler = ThroughputSampler::new(WINDOW_NS);
-        let mut rs = RestartRuntime::launch((spec.build)(), 1 << 30, RESTART_COST_NS).unwrap();
+        let mut rs = RestartRuntime::launch((spec.build)(), 1 << 30).unwrap();
         let summary = rs.run(workload, Some(&mut sampler));
         Series {
             system: "Restart".into(),

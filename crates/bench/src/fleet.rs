@@ -4,9 +4,10 @@
 //! A Fig. 4-style timeline per worker, but the variable is not the
 //! recovery system — every worker runs full First-Aid — it is whether
 //! the workers share one patch pool. With sharing, the first worker to
-//! hit the bug pays the only diagnosis and the rest pick the patch up
-//! from the pool; without sharing, every worker re-diagnoses the same
-//! bug and the fleet throughput dips once per worker.
+//! hit the bug pays the diagnosis and every worker whose trigger comes
+//! after the publish picks the patch up from the pool; without sharing,
+//! every worker re-diagnoses the same bug and the fleet throughput dips
+//! once per worker.
 
 use fa_apps::AppSpec;
 use fa_fleet::{Fleet, FleetConfig, FleetReport, PoolSharing};
@@ -29,19 +30,18 @@ pub struct FleetExperiment {
     pub per_worker: FleetReport,
 }
 
-fn config(workers: usize, sharing: PoolSharing) -> FleetConfig {
-    FleetConfig {
-        workers,
-        sharing,
-        runtime: paper_config(),
-    }
-}
-
 /// Runs the experiment for one application: the same periodic trigger
 /// stream through a shared-pool fleet and a per-worker-pool fleet.
 ///
-/// `stagger` offsets each worker's triggers; it must exceed the bug's
-/// error-propagation distance for sharing to beat the ablation.
+/// `stagger` offsets each worker's triggers. For sharing to spare a
+/// sibling its own diagnosis, the stagger must exceed the bug's
+/// error-propagation distance plus the diagnosis time, both counted in
+/// inputs: a sibling installs the patch only once its own clock reaches
+/// the instant the patch was published.
+///
+/// # Panics
+///
+/// Panics if a worker's process cannot be launched.
 pub fn run_app(
     spec: &AppSpec,
     workers: usize,
@@ -52,14 +52,21 @@ pub fn run_app(
 ) -> FleetExperiment {
     let stream =
         || fa_apps::fleet::periodic_stream(spec, workers, per_shard, warmup, period, stagger, 42);
-    let shared = Fleet::new(spec.build, config(workers, PoolSharing::Shared)).run(stream());
-    let per_worker = Fleet::new(spec.build, config(workers, PoolSharing::PerWorker)).run(stream());
+    let run = |sharing| {
+        let config = FleetConfig {
+            workers,
+            sharing,
+            runtime: paper_config(),
+        };
+        let report = Fleet::new(spec.build, config).run(stream());
+        report.expect("fleet workers launch")
+    };
     FleetExperiment {
         app: spec.display.to_owned(),
         workers,
         per_shard,
-        shared,
-        per_worker,
+        shared: run(PoolSharing::Shared),
+        per_worker: run(PoolSharing::PerWorker),
     }
 }
 

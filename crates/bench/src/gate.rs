@@ -1,10 +1,12 @@
 //! Plumbing shared by the bench binaries: loading the committed baseline
-//! a `--check` gate compares against, enforcing a gate's violations, and
-//! writing a report to `results/`.
+//! a `--check` gate compares against, comparing a report with it field by
+//! field, enforcing a gate's violations, and writing a report to
+//! `results/`.
 
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// Loads the committed baseline at `path`. A missing file is `Ok(None)`
 /// (only the absolute gates apply); a file that exists but cannot be read
@@ -36,6 +38,76 @@ pub fn baseline<T: Deserialize>(name: &str) -> Option<T> {
             eprintln!("{name} baseline: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// The exact gate of a bench whose every field is deterministic: with
+/// `--check` on the command line, compares `report` with the committed
+/// `results/<name>.json` field by field and exits nonzero on any
+/// difference; otherwise writes `report` there.
+pub fn check_or_write<T: Serialize>(name: &str, report: &T) {
+    if std::env::args().any(|a| a == "--check") {
+        let base: Option<Value> = baseline(name);
+        enforce(name, &check(base.as_ref(), &report.to_value()));
+    } else {
+        write_results(name, report);
+    }
+}
+
+/// Compares a fresh report with the committed `baseline`, field by
+/// field, returning one violation per differing field.
+///
+/// For a report whose every field is on the virtual clock (`faults`,
+/// `fleet`) the comparison is exact: a changed retry gate, watchdog,
+/// ledger penalty or fleet schedule moves a counter, an instant or a
+/// throughput sample and fails it. The `serde_json` shim prints each
+/// `f64` with `{}`, which parses back to the same value, so float
+/// fields compare as values too.
+pub(crate) fn check(baseline: Option<&Value>, current: &Value) -> Vec<String> {
+    let mut violations = Vec::new();
+    if let Some(base) = baseline {
+        diff(String::new(), base, current, &mut violations);
+    }
+    violations
+}
+
+/// Appends a violation for each leaf where `base` and `cur` differ. An
+/// array element that names an `app` is labelled by it, and by its
+/// `scenario` when it has one, so a violation reads
+/// `experiments[Squid/kitchen-sink].wall_ns` or
+/// `experiments[Apache].shared.patched`.
+fn diff(path: String, base: &Value, cur: &Value, out: &mut Vec<String>) {
+    match (base, cur) {
+        (Value::Object(b), Value::Object(c)) => {
+            for (key, bv) in b {
+                match cur.get_field(key) {
+                    Some(cv) => diff(format!("{path}.{key}"), bv, cv, out),
+                    None => out.push(format!("{path}.{key}: missing")),
+                }
+            }
+            for (key, _) in c {
+                if base.get_field(key).is_none() {
+                    out.push(format!("{path}.{key}: not in the baseline"));
+                }
+            }
+        }
+        (Value::Array(b), Value::Array(c)) if b.len() == c.len() => {
+            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
+                let row = match (cv["app"].as_str(), cv["scenario"].as_str()) {
+                    (Some(app), Some(scenario)) => format!("{app}/{scenario}"),
+                    (Some(app), None) => app.to_owned(),
+                    _ => i.to_string(),
+                };
+                diff(format!("{path}[{row}]"), bv, cv, out);
+            }
+        }
+        _ if base != cur => out.push(format!(
+            "{}: baseline {}, now {}",
+            path.trim_start_matches('.'),
+            serde_json::to_string(base).unwrap_or_default(),
+            serde_json::to_string(cur).unwrap_or_default()
+        )),
+        _ => {}
     }
 }
 
@@ -111,6 +183,63 @@ mod tests {
         assert!(!committed::<FleetScaleReport>("fleet_scale")
             .points
             .is_empty());
+    }
+
+    fn faults_report(kitchen_sink_io_errors: u64) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"experiments": [
+                {{"app": "Squid", "scenario": "none", "wall_ns": 7, "fired": []}},
+                {{"app": "Squid", "scenario": "kitchen-sink", "wall_ns": 9,
+                  "fired": [["wal-append-io", 1]],
+                  "degradation": {{"pool_io_errors": {kitchen_sink_io_errors}}}}}
+            ]}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn check_names_each_field_that_moved() {
+        let base = faults_report(1);
+        assert!(check(Some(&base), &faults_report(1)).is_empty());
+        assert!(
+            check(None, &faults_report(2)).is_empty(),
+            "no baseline, no diff"
+        );
+        assert_eq!(
+            check(Some(&base), &faults_report(2)),
+            ["experiments[Squid/kitchen-sink].degradation.pool_io_errors: baseline 1, now 2"]
+        );
+        let mut fewer = faults_report(1);
+        if let Value::Object(members) = &mut fewer {
+            if let Value::Array(rows) = &mut members[0].1 {
+                rows.pop();
+            }
+        }
+        assert_eq!(check(Some(&base), &fewer).len(), 1, "a lost row fails");
+    }
+
+    #[test]
+    fn check_labels_scenario_free_rows_by_app_and_compares_floats_exactly() {
+        // A fleet-shaped report: rows name an app but no scenario, and a
+        // throughput sample moved by one unit in the last place.
+        let report = |mbps: f64| {
+            let json = format!(
+                r#"{{"experiments": [{{"app": "Apache", "shared":
+                    {{"patched": 1, "fleet_series": [[0.0, {}]]}}}}]}}"#,
+                mbps
+            );
+            serde_json::from_str::<Value>(&json).unwrap()
+        };
+        let mbps = 18.3_f64;
+        let next = f64::from_bits(mbps.to_bits() + 1);
+        let base = report(mbps);
+        assert!(check(Some(&base), &report(mbps)).is_empty());
+        let moved = check(Some(&base), &report(next));
+        assert_eq!(moved.len(), 1, "{moved:?}");
+        assert_eq!(
+            moved[0],
+            format!("experiments[Apache].shared.fleet_series[0][1]: baseline {mbps}, now {next}")
+        );
     }
 
     #[test]

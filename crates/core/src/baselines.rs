@@ -203,6 +203,12 @@ impl RxRuntime {
     }
 }
 
+/// Virtual downtime of one whole-process restart (teardown + exec +
+/// init; server restarts are of the order of a second): what
+/// [`RestartRuntime`] charges per failure, and what a fleet worker's
+/// drop-and-restart fallback charges per relaunch.
+pub const RESTART_COST_NS: u64 = 1_500_000_000;
+
 /// The classic restart approach: on failure, restart the whole process.
 ///
 /// Restart loses all in-memory state, pays a fixed downtime, drops the
@@ -212,7 +218,6 @@ pub struct RestartRuntime {
     process: Process,
     template: BoxedApp,
     heap_limit: u64,
-    restart_cost_ns: u64,
     wall_ns: u64,
     last_proc_clock: u64,
     bytes_delivered_past: u64,
@@ -221,16 +226,9 @@ pub struct RestartRuntime {
 }
 
 impl RestartRuntime {
-    /// Launches an application with restart-on-failure supervision.
-    ///
-    /// `restart_cost_ns` is the downtime charged per restart (process
-    /// teardown + exec + init; server restarts are of the order of a
-    /// second).
-    pub fn launch(
-        app: BoxedApp,
-        heap_limit: u64,
-        restart_cost_ns: u64,
-    ) -> Result<RestartRuntime, Fault> {
+    /// Launches an application with restart-on-failure supervision;
+    /// each restart charges [`RESTART_COST_NS`] of downtime.
+    pub fn launch(app: BoxedApp, heap_limit: u64) -> Result<RestartRuntime, Fault> {
         let template = app.clone();
         let mut ctx = ProcessCtx::new(heap_limit);
         ctx.swap_alloc(|old| Box::new(ExtAllocator::attach(old.heap().clone())));
@@ -240,7 +238,6 @@ impl RestartRuntime {
             process,
             template,
             heap_limit,
-            restart_cost_ns,
             wall_ns: last_proc_clock,
             last_proc_clock,
             bytes_delivered_past: 0,
@@ -296,7 +293,7 @@ impl RestartRuntime {
 
     fn restart(&mut self) {
         self.restarts += 1;
-        self.wall_ns += self.restart_cost_ns;
+        self.wall_ns += RESTART_COST_NS;
         self.bytes_delivered_past += self.process.bytes_delivered;
         let mut ctx = ProcessCtx::new(self.heap_limit);
         ctx.swap_alloc(|old| Box::new(ExtAllocator::attach(old.heap().clone())));

@@ -166,8 +166,9 @@ impl DiagnosisEngine {
     /// `Ok(penalty_ns)`: the trial runs after `penalty_ns` of retry cost;
     /// `Err(penalty_ns)`: the retries ran out and the trial is lost.
     fn gate(&self) -> Result<u64, u64> {
-        // Unjittered: the k-th retry costs base << k, capped at base << 16.
-        let mut backoff = Backoff::new(RETRY_BACKOFF_NS, RETRY_BACKOFF_NS.saturating_mul(1 << 16));
+        // Unjittered and uncapped: the k-th retry costs base << k, and
+        // `REEXEC_RETRIES` bounds k.
+        let mut backoff = Backoff::new(RETRY_BACKOFF_NS, u64::MAX);
         let mut penalty_ns = 0u64;
         while self.faults.should_fail(FaultStage::ReexecFlaky) {
             penalty_ns = penalty_ns.saturating_add(backoff.next_delay_ns());
@@ -190,9 +191,10 @@ impl DiagnosisEngine {
     /// instead of waiting forever.
     fn watchdog(&self, trial_elapsed_ns: u64) -> Result<u64, u64> {
         let overdue = trial_elapsed_ns > TRIAL_DEADLINE_NS;
+        // Uncapped, like the gate's: `REEXEC_RETRIES` bounds the attempts.
         let mut backoff = Backoff::seeded(
             RETRY_BACKOFF_NS,
-            RETRY_BACKOFF_NS.saturating_mul(1 << 10),
+            u64::MAX,
             self.faults.seed() ^ WATCHDOG_SEED_SALT,
         );
         let mut penalty_ns = 0u64;

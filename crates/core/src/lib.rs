@@ -71,7 +71,7 @@ pub mod report;
 pub mod runtime;
 pub mod validate;
 
-pub use baselines::{RestartRuntime, RxRuntime};
+pub use baselines::{RestartRuntime, RxRuntime, RESTART_COST_NS};
 pub use diagnose::{
     trap_bug_type, trap_seed_site, DiagnosedBug, Diagnosis, DiagnosisEngine, DiagnosisOutcome,
     EngineConfig,

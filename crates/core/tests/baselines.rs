@@ -4,7 +4,9 @@
 use fa_checkpoint::AdaptiveConfig;
 use fa_mem::Addr;
 use fa_proc::{App, BoxedApp, Fault, Input, InputBuilder, ProcessCtx, Response};
-use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, RestartRuntime, RxRuntime};
+use first_aid_core::{
+    FirstAidConfig, FirstAidRuntime, PatchPool, RestartRuntime, RxRuntime, RESTART_COST_NS,
+};
 
 fn adaptive() -> AdaptiveConfig {
     AdaptiveConfig {
@@ -97,8 +99,7 @@ fn rx_recovery_is_faster_than_first_aid_diagnosis() {
 
 #[test]
 fn restart_pays_downtime_and_loses_state() {
-    let cost = 500_000_000u64; // 0.5 s
-    let mut rs = RestartRuntime::launch(Box::new(Flaky::default()), 1 << 26, cost).unwrap();
+    let mut rs = RestartRuntime::launch(Box::new(Flaky::default()), 1 << 26).unwrap();
     let w = workload(300, 100);
     let wall_estimate_without_failures: u64 = w.iter().map(|i| i.gap_ns).sum();
     let summary = rs.run(w, None);
@@ -106,7 +107,7 @@ fn restart_pays_downtime_and_loses_state() {
     assert_eq!(rs.restarts, 2);
     assert_eq!(summary.dropped, 2, "poisoned requests are lost");
     assert!(
-        summary.wall_ns > wall_estimate_without_failures + 2 * cost,
+        summary.wall_ns > wall_estimate_without_failures + 2 * RESTART_COST_NS,
         "each restart must cost its full downtime"
     );
 }

@@ -13,6 +13,7 @@ pub const FAULT_SCENARIOS: &[&str] = &[
     "checkpoint-corruption",
     "diagnosis-timeout",
     "flaky-reexec",
+    "flaky-exhaust",
     "trial-hang",
     "validation-fork",
     "wal-io",
@@ -42,6 +43,12 @@ pub fn fault_scenario(name: &str, seed: u64) -> Option<FaultPlan> {
         // retried with backoff.
         "flaky-reexec" => FaultPlan::builder(seed)
             .inject(FaultStage::ReexecFlaky, Injection::PerMille(300))
+            .build(),
+        // The first trial's re-execution fails three times in a row: both
+        // retries are spent and the trial is lost, so diagnosis must go
+        // on without it.
+        "flaky-exhaust" => FaultPlan::builder(seed)
+            .inject(FaultStage::ReexecFlaky, Injection::Nth(vec![0, 1, 2]))
             .build(),
         // ~25% of diagnosis trials wedge; the watchdog must reap and
         // retry them (and escalate, never stall diagnosis).

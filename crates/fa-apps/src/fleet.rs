@@ -1,8 +1,8 @@
 //! Fleet workload generation: one deterministic stream, many shards.
 //!
 //! A fleet supervisor dispatches a single input stream across N workers.
-//! To keep fleet experiments reproducible regardless of thread timing,
-//! the stream is built shard-first: each shard is an independent workload
+//! To make "which worker sees a trigger when" part of the spec, the
+//! stream is built shard-first: each shard is an independent workload
 //! from [`AppSpec::workload`] with its own derived seed and its own
 //! trigger schedule, and the shards are interleaved round-robin into one
 //! stream. Under round-robin dispatch with the same N, shard `s` is
@@ -53,10 +53,12 @@ pub fn sharded_stream(
 /// shard `s` offset by `s * stagger` so triggers arrive spread out — the
 /// first worker to hit one can immunize the rest before their turn.
 ///
-/// Pick `stagger` larger than the bug's error-propagation distance (the
-/// inputs between trigger and failure, ~250 for the Apache dangling
-/// read), or later workers will have executed their own trigger before
-/// the first failure is even caught.
+/// For a later worker to be spared its own diagnosis, `stagger` must
+/// exceed the bug's error-propagation distance (the inputs between
+/// trigger and failure, ~250 for the Apache dangling read) plus the
+/// diagnosis time, counted in inputs: a sibling installs the patch only
+/// once its own clock reaches the instant the patch was published, so a
+/// trigger it runs before then is one it must diagnose itself.
 pub fn periodic_stream(
     spec: &AppSpec,
     shards: usize,

@@ -8,19 +8,24 @@
 //! own process of the same program, and dispatches a mixed stream of
 //! normal and bug-triggering inputs across them. All workers share one
 //! [`PatchPool`](first_aid_core::PatchPool), so the *first* worker to hit
-//! the bug pays the diagnosis cost and every other worker picks the patch
-//! up before its own first trigger — the fleet is **immunized** by a
-//! single diagnosis.
+//! the bug pays the diagnosis cost and every worker whose trigger comes
+//! after the patch is published neutralizes it — the fleet is
+//! **immunized** by a single diagnosis.
 //!
 //! What the supervisor provides:
 //!
-//! * **Epoch-driven refresh** — before each input a worker calls
+//! * **One clock** — every worker runs on the caller's thread, and the
+//!   loop always feeds the worker with the smallest virtual clock, so a
+//!   run is deterministic and its instants are comparable across
+//!   workers.
+//! * **Epoch-driven, causal refresh** — before an input a worker calls
 //!   [`refresh_patches`](first_aid_core::FirstAidRuntime::refresh_patches),
 //!   one atomic load of its program's epoch signal, and re-installs its
-//!   patch set only when that epoch moved.
-//! * **Dispatch** — strict rotation over bounded per-worker queues (8
-//!   inputs deep): input `i` goes to worker `i % N`, which pairs with
-//!   sharded streams.
+//!   patch set only when that epoch moved; it does so only once its own
+//!   clock has reached the virtual instant of the latest pool change, so
+//!   no worker installs a patch before it was published.
+//! * **Dispatch** — strict rotation: input `i` goes to worker `i % N`,
+//!   which pairs with sharded streams.
 //! * **Sharing ablation** — [`PoolSharing::PerWorker`] gives each worker
 //!   a private pool, reproducing the no-sharing baseline where every
 //!   worker must diagnose the same bug independently.
@@ -58,17 +63,18 @@
 //!     120,
 //!     7,
 //! );
-//! let report = fleet.run(stream);
+//! let report = fleet.run(stream)?;
 //! assert_eq!(report.patched, 1, "one worker pays the diagnosis");
 //! assert!(!fleet.pool().is_empty("squid"));
 //!
 //! // A second wave of triggers: every worker launches from the warm
 //! // pool, so the whole fleet is immunized from the start.
 //! let wave2 = fa_apps::fleet::sharded_stream(&spec, &[vec![10], vec![10], vec![10]], 40, 8);
-//! let r2 = fleet.run(wave2);
+//! let r2 = fleet.run(wave2)?;
 //! assert_eq!(r2.failures, 0);
 //! assert_eq!(r2.patch_hits, 3);
 //! assert!(r2.time_to_fleet_immunity_ns.is_some());
+//! # Ok::<(), fa_proc::Fault>(())
 //! ```
 
 // Supervision code must not be what crashes: no `unwrap`/`expect`
@@ -83,8 +89,8 @@ pub mod supervisor;
 mod worker;
 
 pub use cells::CellTopology;
-pub use metrics::{FleetMetrics, FleetReport, WorkerReport};
+pub use metrics::{FleetReport, WorkerReport};
 pub use scale::{
     measure_query_latency, AppPlan, QueryLatency, ScaleConfig, ScaleFleet, ScaleOutcome,
 };
-pub use supervisor::{AppFactory, Fleet, FleetConfig, PoolSharing};
+pub use supervisor::{Fleet, FleetConfig, PoolSharing};

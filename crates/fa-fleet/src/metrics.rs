@@ -25,8 +25,8 @@ pub struct WorkerReport {
     pub dropped: usize,
     /// Rollback/re-execution iterations summed over all diagnoses.
     pub rollbacks: usize,
-    /// Bug-triggering inputs that sailed through without failing —
-    /// neutralized by an installed patch.
+    /// Bug-triggering inputs fed while this worker held patches that
+    /// sailed through without failing — neutralized by a patch.
     pub patch_hits: usize,
     /// Drop-and-restart relaunches after the recovery budget ran out.
     pub restarts: usize,
@@ -63,7 +63,8 @@ pub struct FleetReport {
     /// Sum of worker `recoveries`.
     pub recoveries: usize,
     /// Sum of worker `patched` — diagnoses actually paid. With a shared
-    /// pool this stays at one per bug regardless of fleet size.
+    /// pool, a worker diagnoses only a trigger it runs before the first
+    /// diagnosis of the same bug has published its patch.
     pub patched: usize,
     /// Sum of worker `dropped`.
     pub dropped: usize,
@@ -80,8 +81,8 @@ pub struct FleetReport {
     pub time_to_fleet_immunity_ns: Option<u64>,
     /// Sum of worker `bytes`.
     pub bytes: u64,
-    /// Merged degradation-ladder counters; the supervisor overlays the
-    /// shared pool's journal health after aggregation.
+    /// Merged degradation-ladder counters, with the shared pool's
+    /// journal health.
     pub degradation: DegradationMetrics,
     /// Merged sentry-tier counters across workers.
     pub sentry: SentryMetrics,
@@ -100,87 +101,48 @@ impl FleetReport {
     pub fn stall_windows(&self) -> usize {
         self.fleet_series.iter().filter(|p| p.1 < 0.05).count()
     }
-}
 
-/// Folds [`WorkerReport`]s into a [`FleetReport`].
-///
-/// All workers sample on the same window width, so the fleet timeline is
-/// the per-window sum of the worker timelines.
-#[derive(Debug, Default)]
-pub struct FleetMetrics {
-    workers: Vec<WorkerReport>,
-}
-
-impl FleetMetrics {
-    /// Starts an empty aggregate.
-    pub fn new() -> FleetMetrics {
-        FleetMetrics::default()
-    }
-
-    /// Adds one worker's report.
-    pub fn push(&mut self, report: WorkerReport) {
-        self.workers.push(report);
-    }
-
-    /// Computes the fleet-wide throughput series (per-window sum).
-    pub fn fleet_series(&self) -> Vec<(f64, f64)> {
-        // Window starts are identical across workers (same window width,
-        // same index); take them from the longest series.
-        let Some(longest) = self.workers.iter().max_by_key(|w| w.series.len()) else {
-            return Vec::new();
-        };
-        let len = longest.series.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        (0..len)
-            .map(|i| {
-                let total: f64 = self
-                    .workers
-                    .iter()
-                    .filter_map(|w| w.series.get(i))
-                    .map(|p| p.1)
-                    .sum();
-                (longest.series[i].0, total)
+    /// Folds the worker reports, in worker order, into the fleet report.
+    /// All workers sample on the same window width, so the fleet series
+    /// is the per-window sum of the worker series, on the window starts
+    /// of the longest one.
+    pub(crate) fn from_workers(workers: Vec<WorkerReport>) -> FleetReport {
+        let longest = workers
+            .iter()
+            .map(|w| w.series.as_slice())
+            .max_by_key(|s| s.len());
+        let fleet_series = longest
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, _))| {
+                let total = workers.iter().filter_map(|w| w.series.get(i)).map(|p| p.1);
+                (start, total.sum())
             })
-            .collect()
-    }
-
-    /// Finishes the aggregate.
-    pub fn finish(mut self) -> FleetReport {
-        self.workers.sort_by_key(|w| w.worker);
-        let fleet_series = self.fleet_series();
-        let all_immunized =
-            !self.workers.is_empty() && self.workers.iter().all(|w| w.immunized_at_ns.is_some());
-        let time_to_fleet_immunity_ns = if all_immunized {
-            self.workers.iter().filter_map(|w| w.immunized_at_ns).max()
-        } else {
-            None
-        };
-        let sum = |f: fn(&WorkerReport) -> usize| self.workers.iter().map(f).sum();
-        let mut degradation = DegradationMetrics::default();
-        let mut sentry = SentryMetrics::default();
-        for w in &self.workers {
-            degradation.merge(&w.degradation);
-            sentry.merge(&w.sentry);
-        }
-        FleetReport {
-            degradation,
-            sentry,
-            served: sum(|w| w.served),
-            failures: sum(|w| w.failures),
-            recoveries: sum(|w| w.recoveries),
-            patched: sum(|w| w.patched),
-            dropped: sum(|w| w.dropped),
-            rollbacks: sum(|w| w.rollbacks),
-            patch_hits: sum(|w| w.patch_hits),
-            restarts: sum(|w| w.restarts),
-            backoff_ns: self.workers.iter().map(|w| w.backoff_ns).sum(),
-            bytes: self.workers.iter().map(|w| w.bytes).sum(),
-            time_to_fleet_immunity_ns,
+            .collect();
+        // `None` as soon as one worker never held patches.
+        let immunized: Option<Vec<u64>> = workers.iter().map(|w| w.immunized_at_ns).collect();
+        let mut report = FleetReport {
             fleet_series,
-            workers: self.workers,
+            time_to_fleet_immunity_ns: immunized.and_then(|at| at.into_iter().max()),
+            ..FleetReport::default()
+        };
+        for w in &workers {
+            report.served += w.served;
+            report.failures += w.failures;
+            report.recoveries += w.recoveries;
+            report.patched += w.patched;
+            report.dropped += w.dropped;
+            report.rollbacks += w.rollbacks;
+            report.patch_hits += w.patch_hits;
+            report.restarts += w.restarts;
+            report.backoff_ns += w.backoff_ns;
+            report.bytes += w.bytes;
+            report.degradation.merge(&w.degradation);
+            report.sentry.merge(&w.sentry);
         }
+        report.workers = workers;
+        report
     }
 }
 
@@ -200,10 +162,10 @@ mod tests {
 
     #[test]
     fn fleet_series_sums_by_window() {
-        let mut m = FleetMetrics::new();
-        m.push(worker(0, vec![(0.0, 1.0), (0.25, 2.0)], Some(5)));
-        m.push(worker(1, vec![(0.0, 3.0)], Some(9)));
-        let r = m.finish();
+        let r = FleetReport::from_workers(vec![
+            worker(0, vec![(0.0, 1.0), (0.25, 2.0)], Some(5)),
+            worker(1, vec![(0.0, 3.0)], Some(9)),
+        ]);
         assert_eq!(r.fleet_series, vec![(0.0, 4.0), (0.25, 2.0)]);
         assert_eq!(r.served, 20);
         assert_eq!(r.time_to_fleet_immunity_ns, Some(9));
@@ -211,9 +173,8 @@ mod tests {
 
     #[test]
     fn immunity_requires_every_worker() {
-        let mut m = FleetMetrics::new();
-        m.push(worker(0, vec![], Some(5)));
-        m.push(worker(1, vec![], None));
-        assert_eq!(m.finish().time_to_fleet_immunity_ns, None);
+        let r =
+            FleetReport::from_workers(vec![worker(0, vec![], Some(5)), worker(1, vec![], None)]);
+        assert_eq!(r.time_to_fleet_immunity_ns, None);
     }
 }

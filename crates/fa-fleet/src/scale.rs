@@ -1,9 +1,9 @@
 //! Fleet scale harness: 10²–10⁵ simulated workers over the real pool.
 //!
-//! The threaded [`Fleet`](crate::Fleet) runs one OS thread per worker —
-//! honest, but a wall around 10³ workers. This module scales the fleet
-//! model to six digits by splitting what must be *real* from what must
-//! be *deterministic*:
+//! [`Fleet`](crate::Fleet) runs a full `FirstAidRuntime` per worker —
+//! a whole simulated process each, which walls it around 10³ workers.
+//! This module scales the fleet model to six digits by splitting what
+//! must be *real* from what must be *deterministic*:
 //!
 //! * **Real:** the pool reads. Each simulated worker launches with one
 //!   locked [`PatchPool::get_with_epoch`] (its set plus the epoch that

@@ -1,26 +1,13 @@
-//! The fleet supervisor: spawn workers, dispatch inputs, join reports.
+//! The fleet supervisor: one loop steps every worker in virtual-time
+//! order.
 
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
 
-use fa_proc::{BoxedApp, Input};
+use fa_proc::{BoxedApp, Fault, Input};
 use first_aid_core::{FirstAidConfig, PatchPool, QuarantinePolicy};
 
-use crate::metrics::{FleetMetrics, FleetReport, WorkerReport};
-use crate::worker::{self, WorkerParams};
-
-/// Builds a fresh application instance for one worker (or relaunch).
-///
-/// `AppSpec::build` function pointers coerce into this directly:
-/// `Fleet::new(spec.build, config)`.
-pub type AppFactory = Arc<dyn Fn() -> BoxedApp + Send + Sync>;
-
-/// Bounded per-worker queue depth. Backpressure couples the fleet's
-/// real-time progress (as a load balancer would): while one worker is
-/// stuck in diagnosis, its siblings cannot race arbitrarily far ahead,
-/// so a shared patch still lands *before* their own triggers.
-const QUEUE_DEPTH: usize = 8;
+use crate::metrics::FleetReport;
+use crate::worker::Worker;
 
 /// Whether workers share one patch pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,24 +48,18 @@ impl Default for FleetConfig {
 /// with every worker already immunized by the first (same as processes
 /// launched after the patches were journaled).
 pub struct Fleet {
-    factory: AppFactory,
+    factory: Box<dyn Fn() -> BoxedApp>,
     config: FleetConfig,
     pool: PatchPool,
 }
 
-struct WorkerHandle {
-    sender: SyncSender<Input>,
-    thread: JoinHandle<WorkerReport>,
-}
-
 impl Fleet {
-    /// Creates a fleet with a fresh in-memory shared pool.
-    pub fn new(
-        factory: impl Fn() -> BoxedApp + Send + Sync + 'static,
-        config: FleetConfig,
-    ) -> Fleet {
+    /// Creates a fleet with a fresh in-memory shared pool. `factory`
+    /// builds each worker's application (and every relaunch's);
+    /// `AppSpec::build` function pointers coerce into it directly.
+    pub fn new(factory: impl Fn() -> BoxedApp + 'static, config: FleetConfig) -> Fleet {
         Fleet {
-            factory: Arc::new(factory),
+            factory: Box::new(factory),
             config,
             pool: PatchPool::in_memory(),
         }
@@ -101,57 +82,69 @@ impl Fleet {
         &self.config
     }
 
-    /// Runs the fleet over one input stream: spawns the workers,
-    /// dispatches every input in strict rotation (input `i` goes to
-    /// worker `i % N`, so each worker of a sharded stream sees its own
-    /// shard), closes the queues, joins, aggregates.
+    /// Runs the fleet over one input stream, on the caller's thread.
+    ///
+    /// Input `i` goes to worker `i % N`, so each worker of a sharded
+    /// stream sees its own shard. The loop always feeds the worker with
+    /// the smallest virtual clock (the lowest id on ties). A step that
+    /// moves the shared pool's epoch (a publish, revoke, canary admission
+    /// or promotion) ends at or after the virtual instant of the change,
+    /// and a worker refreshes its patches only once its own clock has
+    /// reached the end of the latest such step, so no worker installs a
+    /// change before it was made.
     ///
     /// The shared pool runs with the default flap quarantine: a site
     /// revoked three times fleet-wide is re-admitted only through a
-    /// single-worker canary.
-    pub fn run(&self, inputs: impl IntoIterator<Item = Input>) -> FleetReport {
+    /// single-worker canary. Fails if a worker's process cannot be
+    /// launched or relaunched.
+    pub fn run(&self, inputs: impl IntoIterator<Item = Input>) -> Result<FleetReport, Fault> {
         let n = self.config.workers.max(1);
         self.pool.enable_quarantine(QuarantinePolicy::default());
-        let handles: Vec<WorkerHandle> = (0..n)
-            .map(|id| {
-                let (sender, receiver) = mpsc::sync_channel(QUEUE_DEPTH);
-                let params = WorkerParams {
-                    id,
-                    factory: self.factory.clone(),
-                    runtime: self.config.runtime.clone(),
-                    pool: match self.config.sharing {
-                        // Worker-scoped clone: this worker additionally
-                        // sees canary patches admitted for it.
-                        PoolSharing::Shared => self.pool.for_worker(id as u64),
-                        PoolSharing::PerWorker => PatchPool::in_memory(),
-                    },
-                };
-                let thread = std::thread::spawn(move || worker::run(params, receiver));
-                WorkerHandle { sender, thread }
-            })
-            .collect();
-
-        for (cursor, input) in inputs.into_iter().enumerate() {
-            // A send fails only if the worker thread died (panicked); its
-            // report is lost but the rest of the fleet keeps serving.
-            let _ = handles[cursor % n].sender.send(input);
+        let mut shards = vec![VecDeque::new(); n];
+        for (i, input) in inputs.into_iter().enumerate() {
+            shards[i % n].push_back(input);
         }
+        let mut workers = shards
+            .into_iter()
+            .enumerate()
+            .map(|(id, shard)| {
+                let pool = match self.config.sharing {
+                    // Worker-scoped clone: this worker additionally sees
+                    // canary patches admitted for it.
+                    PoolSharing::Shared => self.pool.for_worker(id as u64),
+                    PoolSharing::PerWorker => PatchPool::in_memory(),
+                };
+                Worker::launch(id, &*self.factory, self.config.runtime.clone(), pool, shard)
+            })
+            .collect::<Result<Vec<_>, Fault>>()?;
 
-        let mut metrics = FleetMetrics::new();
-        for WorkerHandle { sender, thread } in handles {
-            drop(sender); // close the queue so the worker's recv() ends
-            if let Ok(report) = thread.join() {
-                metrics.push(report);
+        // Only the shared pool carries changes between workers; under
+        // `PerWorker` its epoch never moves and every refresh is allowed.
+        let signal = self.pool.epoch_signal(workers[0].program());
+        let mut epoch = signal.get();
+        let mut visible_at = 0u64;
+        // `min_by_key` keeps the first of equal clocks: the lowest id.
+        while let Some(worker) = workers
+            .iter_mut()
+            .filter(|w| !w.inputs.is_empty())
+            .min_by_key(|w| w.clock())
+        {
+            worker.step(worker.clock() >= visible_at)?;
+            if signal.moved(epoch) {
+                epoch = signal.get();
+                visible_at = visible_at.max(worker.clock());
             }
         }
-        let mut report = metrics.finish();
+
+        let mut report =
+            FleetReport::from_workers(workers.into_iter().map(Worker::finish).collect());
         // Journal I/O health lives on the shared pool's journal, not on
-        // any one worker; overlay it after aggregation.
+        // any one worker.
         if let Some(wal) = self.pool.journal() {
             report.degradation.pool_io_errors = wal.io_errors();
             report.degradation.pool_degraded = wal.is_degraded();
         }
-        report
+        Ok(report)
     }
 }
 
@@ -171,7 +164,7 @@ mod tests {
             },
         );
         let stream = fa_apps::fleet::sharded_stream(&spec, &[vec![], vec![], vec![]], 30, 1);
-        let report = fleet.run(stream);
+        let report = fleet.run(stream).unwrap();
         assert_eq!(report.served, 90);
         assert_eq!(report.failures, 0);
         for w in &report.workers {
@@ -194,14 +187,32 @@ mod tests {
         );
         // Phase 1: only shard 0 carries a trigger.
         let phase1 = fa_apps::fleet::sharded_stream(&spec, &[vec![30], vec![]], 60, 11);
-        let r1 = fleet.run(phase1);
+        let r1 = fleet.run(phase1).unwrap();
         assert_eq!(r1.patched, 1, "one worker pays the diagnosis");
         // Phase 2: both shards trigger — the warm pool neutralizes all.
         let phase2 = fa_apps::fleet::sharded_stream(&spec, &[vec![10], vec![10]], 40, 12);
-        let r2 = fleet.run(phase2);
+        let r2 = fleet.run(phase2).unwrap();
         assert_eq!(r2.failures, 0, "fleet is immunized");
         assert_eq!(r2.patch_hits, 2);
         // Workers launch from the warm pool: immunized from the start.
         assert!(r2.time_to_fleet_immunity_ns.unwrap() < 50_000_000);
+    }
+
+    #[test]
+    fn a_trigger_that_fails_later_is_not_a_patch_hit() {
+        // Apache's dangling read fails ~250 requests after its trigger,
+        // which the worker fed holding no patch.
+        let spec = spec_by_key("apache").unwrap();
+        let fleet = Fleet::new(
+            spec.build,
+            FleetConfig {
+                workers: 1,
+                ..FleetConfig::default()
+            },
+        );
+        let stream = fa_apps::fleet::sharded_stream(&spec, &[vec![30]], 400, 5);
+        let report = fleet.run(stream).unwrap();
+        assert_eq!(report.failures, 1, "the trigger failed later");
+        assert_eq!(report.patch_hits, 0);
     }
 }

@@ -1,12 +1,13 @@
-//! The per-worker loop: one supervised process draining its job queue.
+//! One fleet worker: a supervised process, its shard of the stream, and
+//! the report it accumulates.
 
-use std::sync::mpsc::Receiver;
+use std::collections::VecDeque;
 
 use fa_faults::Backoff;
-use fa_proc::Input;
-use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool, ThroughputSampler};
-
-use first_aid_core::{DegradationMetrics, SentryMetrics};
+use fa_proc::{BoxedApp, Fault, Input};
+use first_aid_core::{
+    FirstAidConfig, FirstAidRuntime, PatchPool, ThroughputSampler, RESTART_COST_NS,
+};
 
 use crate::metrics::WorkerReport;
 
@@ -17,9 +18,6 @@ const WINDOW_NS: u64 = 250_000_000;
 /// drop-and-restart.
 const RECOVERY_BUDGET: usize = 16;
 
-/// Virtual downtime charged per drop-and-restart relaunch.
-const RESTART_COST_NS: u64 = 1_500_000_000;
-
 /// Crash-loop backoff: the first failure in a row is free (recovery
 /// itself already costs virtual time); the `k`-th consecutive failure
 /// pauses the worker for `BACKOFF_BASE_NS << (k - 2)`, capped at
@@ -27,140 +25,134 @@ const RESTART_COST_NS: u64 = 1_500_000_000;
 const BACKOFF_BASE_NS: u64 = 50_000_000;
 const BACKOFF_MAX_NS: u64 = 2_000_000_000;
 
-/// Everything a worker thread needs, moved into it at spawn.
-pub(crate) struct WorkerParams {
-    pub id: usize,
-    pub factory: crate::supervisor::AppFactory,
-    pub runtime: FirstAidConfig,
-    pub pool: PatchPool,
-}
-
-/// Counters folded out of a runtime before it is replaced (drop-and-
-/// restart) or when the stream ends.
-#[derive(Default)]
-struct Folded {
-    recoveries: usize,
-    patched: usize,
-    dropped: usize,
-    rollbacks: usize,
-    degradation: DegradationMetrics,
-    sentry: SentryMetrics,
-}
-
-fn fold(runtime: &mut FirstAidRuntime, into: &mut Folded) {
-    let h = runtime.health();
-    into.recoveries += h.recoveries;
-    into.patched += h.patched;
-    into.dropped += h.dropped;
-    into.rollbacks += runtime
-        .recoveries
-        .iter()
-        .filter_map(|r| r.diagnosis.as_ref())
-        .map(|d| d.rollbacks)
-        .sum::<usize>();
-    // Pool journal health is fleet-wide (the pool is shared), so it is
-    // overlaid by the supervisor instead of summed per worker.
-    let mut d = runtime.degradation();
-    d.pool_io_errors = 0;
-    d.pool_degraded = false;
-    into.degradation.merge(&d);
-    into.sentry.merge(&runtime.sentry_metrics());
-}
-
-/// Drains `jobs` through one supervised process until the channel closes.
+/// One supervised process of the fleet.
 ///
-/// Patch propagation runs on the pool's per-program epoch: before each
-/// input the worker calls `refresh_patches`, one atomic load of its
-/// program's epoch signal, and re-installs the published patch set only
-/// when that epoch moved (a sibling program's patch traffic costs
-/// nothing). `launch` reads the set and its epoch in one locked read, so
-/// no publish can slip between the install and the first refresh. An
-/// epoch also moves when a sibling's canary is admitted or a revocation
-/// empties the set, so a refresh counts toward immunity only if the
-/// installed set then holds a patch. Virtual time is kept monotone across
-/// relaunches via `wall_base`; crash-loop backoff and restart cost are
-/// charged to it as idle time.
-pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
-    // A program that cannot launch has nothing to serve: the panic ends
-    // only this worker's thread, and `Fleet::run` drops it at join.
-    #[allow(clippy::expect_used)]
-    let launch = || {
-        FirstAidRuntime::launch(
-            (params.factory)(),
-            params.runtime.clone(),
-            params.pool.clone(),
-        )
-        .expect("fleet worker launch")
-    };
-    let mut runtime = launch();
-    let mut sampler = ThroughputSampler::new(WINDOW_NS);
-    let mut report = WorkerReport {
-        worker: params.id,
-        ..WorkerReport::default()
-    };
-    let mut folded = Folded::default();
-    // Offsets carried across drop-and-restart relaunches.
-    let mut wall_base = 0u64;
-    let mut bytes_base = 0u64;
-    let mut consecutive_failures = 0u32;
-    // Shared seeded-jitter backoff helper: the schedule is the classic
-    // exponential (base << k, capped), decorrelated across workers by
-    // the per-worker seed so crash-looping siblings do not resume in
-    // lockstep.
-    let mut crash_backoff = Backoff::seeded(
-        BACKOFF_BASE_NS,
-        BACKOFF_MAX_NS,
-        0xf1ee_7bac_0ff5_eed5 ^ params.id as u64,
-    );
+/// Patch propagation runs on the pool's per-program epoch: before an
+/// input the worker may call `refresh_patches`, one atomic load of its
+/// program's epoch signal, which re-installs the published patch set
+/// only when that epoch moved. `launch` reads the set and its epoch in
+/// one locked read, so no publish can slip between the install and the
+/// first refresh. An epoch also moves when a sibling's canary is admitted
+/// or a revocation empties the set, so a refresh counts toward immunity
+/// only if the installed set then holds a patch. The worker's clock is
+/// kept monotone across relaunches via `wall_base`; crash-loop backoff
+/// and restart cost are charged to it as idle time.
+pub(crate) struct Worker<'f> {
+    app: &'f dyn Fn() -> BoxedApp,
+    config: FirstAidConfig,
+    runtime: FirstAidRuntime,
+    /// This worker's shard of the stream, in arrival order.
+    pub(crate) inputs: VecDeque<Input>,
+    sampler: ThroughputSampler,
+    report: WorkerReport,
+    /// Virtual time and bytes of the processes already thrown away.
+    wall_base: u64,
+    bytes_base: u64,
+    consecutive_failures: u32,
+    crash_backoff: Backoff,
+}
 
-    // Launching from a warm pool (earlier run, journaled dir) counts as
-    // immunized from the start.
-    if !runtime.pool().is_empty(runtime.program()) {
-        report.immunized_at_ns = Some(runtime.wall_ns());
+impl<'f> Worker<'f> {
+    /// Launches worker `id` over `pool` with its shard `inputs`.
+    pub(crate) fn launch(
+        id: usize,
+        app: &'f dyn Fn() -> BoxedApp,
+        config: FirstAidConfig,
+        pool: PatchPool,
+        inputs: VecDeque<Input>,
+    ) -> Result<Worker<'f>, Fault> {
+        let runtime = FirstAidRuntime::launch(app(), config.clone(), pool)?;
+        // Launching from a warm pool (earlier run, journaled dir) counts
+        // as immunized from the start.
+        let immunized_at_ns =
+            (!runtime.pool().is_empty(runtime.program())).then(|| runtime.wall_ns());
+        Ok(Worker {
+            app,
+            config,
+            runtime,
+            inputs,
+            sampler: ThroughputSampler::new(WINDOW_NS),
+            report: WorkerReport {
+                worker: id,
+                immunized_at_ns,
+                ..WorkerReport::default()
+            },
+            wall_base: 0,
+            bytes_base: 0,
+            consecutive_failures: 0,
+            // Seeded jitter decorrelates crash-looping siblings, so they
+            // do not resume in lockstep.
+            crash_backoff: Backoff::seeded(
+                BACKOFF_BASE_NS,
+                BACKOFF_MAX_NS,
+                0xf1ee_7bac_0ff5_eed5 ^ id as u64,
+            ),
+        })
     }
 
-    while let Ok(input) = jobs.recv() {
-        if runtime.refresh_patches()
-            && report.immunized_at_ns.is_none()
-            && runtime.with_ext(|ext| !ext.patches().is_empty())
+    /// The worker's virtual clock, monotone across relaunches.
+    pub(crate) fn clock(&self) -> u64 {
+        self.wall_base + self.runtime.wall_ns()
+    }
+
+    /// The program this worker runs (its patch-pool key).
+    pub(crate) fn program(&self) -> &str {
+        self.runtime.program()
+    }
+
+    fn holds_patches(&mut self) -> bool {
+        self.runtime.with_ext(|ext| !ext.patches().is_empty())
+    }
+
+    /// Feeds the next input of the shard, first picking up pool changes
+    /// if `refresh` says they are visible at this worker's clock. Fails
+    /// only if a drop-and-restart relaunch fails.
+    pub(crate) fn step(&mut self, refresh: bool) -> Result<(), Fault> {
+        let Some(input) = self.inputs.pop_front() else {
+            return Ok(());
+        };
+        if refresh
+            && self.runtime.refresh_patches()
+            && self.report.immunized_at_ns.is_none()
+            && self.holds_patches()
         {
-            report.immunized_at_ns = Some(wall_base + runtime.wall_ns());
+            self.report.immunized_at_ns = Some(self.clock());
         }
-        let buggy = input.buggy;
-        let outcome = runtime.feed(input);
+        // Only a trigger fed under installed patches can have been
+        // neutralized by one: Apache's dangling read fails hundreds of
+        // inputs after its trigger, so "did not fail here" is not a hit.
+        let guarded = input.buggy && self.holds_patches();
+        let outcome = self.runtime.feed(input);
 
         if outcome.served {
-            report.served += 1;
+            self.report.served += 1;
         }
         if outcome.failed {
-            report.failures += 1;
-            consecutive_failures += 1;
-            if consecutive_failures > 1 {
+            self.report.failures += 1;
+            self.consecutive_failures += 1;
+            if self.consecutive_failures > 1 {
                 // Crash-looping: back off exponentially before taking more
-                // traffic, so a hot bug cannot monopolize the worker. The
-                // first failure in a row is free (recovery itself already
-                // cost virtual time).
-                let pause = crash_backoff.next_delay_ns();
-                wall_base += pause;
-                report.backoff_ns += pause;
+                // traffic, so a hot bug cannot monopolize the worker.
+                let pause = self.crash_backoff.next_delay_ns();
+                self.wall_base += pause;
+                self.report.backoff_ns += pause;
             }
         } else {
-            consecutive_failures = 0;
-            crash_backoff.reset();
-            if buggy {
-                // A trigger that did not fail was neutralized by a patch.
-                report.patch_hits += 1;
+            self.consecutive_failures = 0;
+            self.crash_backoff.reset();
+            if guarded {
+                self.report.patch_hits += 1;
                 // A neutralized trigger is exactly the evidence a canary
                 // re-admission is waiting for: if this worker is flying
                 // a canary for a quarantined site, promote it fleet-wide.
-                runtime.pool().confirm_canary(runtime.program());
+                self.runtime.pool().confirm_canary(self.runtime.program());
             }
         }
-        if report.immunized_at_ns.is_none() && runtime.health().patched > 0 {
-            report.immunized_at_ns = Some(wall_base + runtime.wall_ns());
+        if self.report.immunized_at_ns.is_none() && self.runtime.health().patched > 0 {
+            self.report.immunized_at_ns = Some(self.clock());
         }
 
-        if runtime.health().recoveries >= RECOVERY_BUDGET || runtime.needs_restart() {
+        if self.runtime.health().recoveries >= RECOVERY_BUDGET || self.runtime.needs_restart() {
             // Degraded fallback (ladder rung 4, drop-and-restart): either
             // this process has spent its recovery budget, or its drop
             // streak shows that even the generic rung is not holding.
@@ -168,44 +160,64 @@ pub(crate) fn run(params: WorkerParams, jobs: Receiver<Input>) -> WorkerReport {
             // restart baseline as last resort). Patches it contributed
             // stay in the pool and are re-installed at launch; revoked
             // sites stay tombstoned.
-            fold(&mut runtime, &mut folded);
-            wall_base += runtime.wall_ns() + RESTART_COST_NS;
-            bytes_base += runtime.process().bytes_delivered;
-            runtime = launch();
-            report.restarts += 1;
-            folded.degradation.restarts += 1;
-            consecutive_failures = 0;
-            crash_backoff.reset();
+            self.fold();
+            self.wall_base += self.runtime.wall_ns() + RESTART_COST_NS;
+            self.bytes_base += self.runtime.process().bytes_delivered;
+            let pool = self.runtime.pool().clone();
+            self.runtime = FirstAidRuntime::launch((self.app)(), self.config.clone(), pool)?;
+            self.report.restarts += 1;
+            self.report.degradation.restarts += 1;
+            self.consecutive_failures = 0;
+            self.crash_backoff.reset();
         }
 
-        sampler.record(
-            wall_base + runtime.wall_ns(),
-            bytes_base + runtime.process().bytes_delivered,
+        self.sampler.record(
+            self.clock(),
+            self.bytes_base + self.runtime.process().bytes_delivered,
         );
+        Ok(())
     }
 
-    fold(&mut runtime, &mut folded);
-    report.recoveries = folded.recoveries;
-    report.patched = folded.patched;
-    report.dropped = folded.dropped;
-    report.rollbacks = folded.rollbacks;
-    report.degradation = folded.degradation;
-    report.sentry = folded.sentry;
-    report.wall_ns = wall_base + runtime.wall_ns();
-    report.bytes = bytes_base + runtime.process().bytes_delivered;
-    report.series = sampler.series();
-    report
+    /// Adds the counters of the current process to the report, before it
+    /// is replaced or when the stream ends.
+    fn fold(&mut self) {
+        let h = self.runtime.health();
+        let report = &mut self.report;
+        report.recoveries += h.recoveries;
+        report.patched += h.patched;
+        report.dropped += h.dropped;
+        report.rollbacks += self
+            .runtime
+            .recoveries
+            .iter()
+            .filter_map(|r| r.diagnosis.as_ref())
+            .map(|d| d.rollbacks)
+            .sum::<usize>();
+        // Pool journal health is fleet-wide (the pool is shared), so the
+        // supervisor reports it instead of summing it per worker.
+        let mut d = self.runtime.degradation();
+        d.pool_io_errors = 0;
+        d.pool_degraded = false;
+        report.degradation.merge(&d);
+        report.sentry.merge(&self.runtime.sentry_metrics());
+    }
+
+    /// Ends the worker: its report, with the live process folded in.
+    pub(crate) fn finish(mut self) -> WorkerReport {
+        self.fold();
+        self.report.wall_ns = self.clock();
+        self.report.bytes = self.bytes_base + self.runtime.process().bytes_delivered;
+        self.report.series = self.sampler.series();
+        self.report
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc;
     use std::sync::Arc;
 
     use fa_allocext::{BugType, Patch};
-    use fa_proc::{
-        App, BoxedApp, CallSite, Fault, InputBuilder, ProcessCtx, Response, SymbolTable,
-    };
+    use fa_proc::{App, CallSite, InputBuilder, ProcessCtx, Response, SymbolTable};
     use first_aid_core::QuarantinePolicy;
 
     use super::*;
@@ -239,7 +251,7 @@ mod tests {
     }
 
     /// Runs worker 0 of `pool` over one mutating input and three benign
-    /// ones, on this thread.
+    /// ones, refreshing before each as a lone worker does.
     fn serve(
         pool: &PatchPool,
         mutate: impl Fn(&PatchPool) + Send + Sync + 'static,
@@ -248,18 +260,20 @@ mod tests {
             let pool = pool.clone();
             Arc::new(move || mutate(&pool))
         };
-        let (jobs, rx) = mpsc::channel();
-        for op in [1, 0, 0, 0] {
-            jobs.send(InputBuilder::op(op).build()).unwrap();
+        let app = move || Box::new(Hooked(Arc::clone(&hook))) as BoxedApp;
+        let inputs = [1, 0, 0, 0].map(|op| InputBuilder::op(op).build());
+        let mut worker = Worker::launch(
+            0,
+            &app,
+            FirstAidConfig::default(),
+            pool.for_worker(0),
+            inputs.into(),
+        )
+        .unwrap();
+        while !worker.inputs.is_empty() {
+            worker.step(true).unwrap();
         }
-        drop(jobs);
-        let params = WorkerParams {
-            id: 0,
-            factory: Arc::new(move || Box::new(Hooked(Arc::clone(&hook))) as BoxedApp),
-            runtime: FirstAidConfig::default(),
-            pool: pool.for_worker(0),
-        };
-        let report = run(params, rx);
+        let report = worker.finish();
         assert_eq!(report.served, 4);
         report
     }

@@ -21,12 +21,18 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # directory must fail zero times (the example asserts it).
 cargo run --release --offline --example patch_persistence
 
-# Fault-injection gate: the full 16-case matrix (every named scenario on
+# Fault-injection gate: the full 18-case matrix (every named scenario on
 # Apache and Squid) must conserve its input stream (asserted inside the
 # bench) and match results/faults.json in every field. All of them are
 # on the virtual clock, so a changed retry gate, watchdog or trial
 # penalty fails the comparison.
 cargo run --release --offline -p fa-bench --bin faults -- --check
+
+# Fleet gate: both fleet immunization experiments (Apache and Squid,
+# shared pool and per-worker ablation) must match results/fleet.json in
+# every field. The fleet steps its workers on one thread in virtual-time
+# order, so immunity instants and throughput samples are exact too.
+cargo run --release --offline -p fa-bench --bin fleet -- --check
 
 # Performance regression gate: wall-clock throughput and snapshot cost
 # vs the committed results/perf.json baseline, plus diagnosis virtual

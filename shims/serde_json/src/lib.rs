@@ -43,6 +43,12 @@ mod tests {
         assert_eq!(f, -250.0);
         let none: Option<u32> = from_str("null").unwrap();
         assert_eq!(none, None);
+        // A float prints as the shortest decimal that parses back to it,
+        // so a report's f64 fields compare exactly after a round trip.
+        for f in [0.1 + 0.2, 18.3, 1e-7, 1e300, f64::MIN_POSITIVE, -0.0] {
+            let back: f64 = from_str(&to_string(&f).unwrap()).unwrap();
+            assert_eq!(back.to_bits(), f.to_bits(), "{f}");
+        }
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   ([`first_aid_core`]),
 //! * [`apps`] — the seven evaluated applications and benchmark profiles
 //!   ([`fa_apps`]),
-//! * [`fleet`] — the concurrent fleet supervisor: N supervised processes
-//!   of one program sharing a patch pool, so a single diagnosis
-//!   immunizes the whole fleet ([`fa_fleet`]).
+//! * [`fleet`] — the fleet supervisor: N supervised processes of one
+//!   program, stepped in virtual-time order on one thread and sharing a
+//!   patch pool, so a single diagnosis immunizes the whole fleet
+//!   ([`fa_fleet`]).
 //!
 //! # Quick start
 //!

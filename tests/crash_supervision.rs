@@ -325,7 +325,9 @@ fn flapping_patch_readmits_via_single_worker_canary() {
     );
 
     // Phase 1: one worker diagnoses the bug; the patch is pooled.
-    let r1 = fleet.run(sharded_stream(&spec, &[vec![20], vec![]], 50, 81));
+    let r1 = fleet
+        .run(sharded_stream(&spec, &[vec![20], vec![]], 50, 81))
+        .unwrap();
     assert_eq!(r1.patched, 1);
     let pool = fleet.pool().clone();
     let patches: Vec<Patch> = pool.get("squid").patches().to_vec();
@@ -379,7 +381,9 @@ fn flapping_patch_readmits_via_single_worker_canary() {
     // Phase 2: worker 0's canary neutralizes a real trigger (patch hit
     // -> the worker confirms the canary); the promoted patch then
     // protects worker 1's much later trigger. No failures anywhere.
-    let r2 = fleet.run(sharded_stream(&spec, &[vec![2], vec![45]], 50, 82));
+    let r2 = fleet
+        .run(sharded_stream(&spec, &[vec![2], vec![45]], 50, 82))
+        .unwrap();
     assert_eq!(r2.failures, 0, "canary neutralized both triggers");
     assert_eq!(r2.patch_hits, 2, "both workers hit the patch");
     assert!(

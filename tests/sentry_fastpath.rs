@@ -174,7 +174,9 @@ fn fleet_merges_sentry_metrics_and_suppresses_patched_sites() {
 
     // Phase 1: one worker's shard carries the trigger; its sentry traps
     // the bug and the diagnosis lands in the shared pool.
-    let r1 = fleet.run(sharded_stream(&spec, &[vec![30], vec![], vec![]], 80, 21));
+    let r1 = fleet
+        .run(sharded_stream(&spec, &[vec![30], vec![], vec![]], 80, 21))
+        .unwrap();
     assert_eq!(r1.failures, 1, "only the triggered worker fails");
     assert!(r1.sentry.samples > 0, "workers sampled allocations");
     assert!(r1.sentry.traps >= 1, "the trigger was trapped by a sentry");
@@ -184,12 +186,14 @@ fn fleet_merges_sentry_metrics_and_suppresses_patched_sites() {
     // via the pool epoch) both neutralizes it and suppresses sampling of
     // the patched site fleet-wide — no new traps anywhere.
     let traps_before = r1.sentry.traps;
-    let r2 = fleet.run(sharded_stream(
-        &spec,
-        &[vec![15], vec![15], vec![15]],
-        50,
-        22,
-    ));
+    let r2 = fleet
+        .run(sharded_stream(
+            &spec,
+            &[vec![15], vec![15], vec![15]],
+            50,
+            22,
+        ))
+        .unwrap();
     assert_eq!(r2.failures, 0, "no worker fails post-patch");
     assert_eq!(
         r2.sentry.traps, 0,
