@@ -17,7 +17,7 @@ use fa_allocext::ExtAllocator;
 use fa_apps::{spec_by_key, SynthApp, WorkloadSpec};
 use fa_checkpoint::{AdaptiveConfig, CheckpointManager};
 use fa_proc::{Process, ProcessCtx};
-use first_aid_core::{FirstAidConfig, FirstAidRuntime, PatchPool};
+use first_aid_core::{DegradationMetrics, FirstAidConfig, FirstAidRuntime, PatchPool};
 
 use crate::paper_config;
 
@@ -56,15 +56,20 @@ pub struct QuarantinePoint {
     pub threshold: u64,
     /// Failures over a workload with 3 triggers.
     pub failures: usize,
-    /// Peak quarantine residency in bytes.
-    pub peak_bytes: u64,
+    /// Quarantine residency at the end of the run, in bytes.
+    pub final_bytes: u64,
+    /// The run's recoveries by ladder rung. A descent to rung 2 or 3
+    /// arms the generic patches, and with them a wider quarantine budget.
+    pub ladder: DegradationMetrics,
 }
 
 /// Sweeps the quarantine threshold on the Apache dangling read, whose
 /// stale pointers are dereferenced ~250 requests after the free: the
 /// delay-free patch only helps while the entries stay quarantined. One
 /// purge quarantines ~1.9 KB (seven 272-byte entries), so a budget below
-/// that evicts entries before the stale reads and the bug recurs.
+/// that evicts entries before the stale reads and the bug recurs, until
+/// a recurrence sends recovery down the degradation ladder, whose generic
+/// patches bring their own, wider budget.
 pub fn quarantine_sweep(thresholds: &[u64]) -> Vec<QuarantinePoint> {
     let spec = spec_by_key("apache").expect("apache registered");
     thresholds
@@ -78,11 +83,11 @@ pub fn quarantine_sweep(thresholds: &[u64]) -> Vec<QuarantinePoint> {
             let mut fa = FirstAidRuntime::launch((spec.build)(), config, pool).unwrap();
             let w = (spec.workload)(&WorkloadSpec::new(2_200, &[400, 1_000, 1_600]));
             let summary = fa.run(w, None);
-            let peak_bytes = fa.with_ext(|ext| ext.quarantine().bytes());
             QuarantinePoint {
                 threshold,
                 failures: summary.failures,
-                peak_bytes,
+                final_bytes: fa.with_ext(|ext| ext.quarantine().bytes()),
+                ladder: fa.degradation(),
             }
         })
         .collect()
@@ -151,11 +156,19 @@ pub fn render() -> String {
         out.push_str(&format!("  {:<9} {}\n", p.pad, p.failures));
     }
     out.push_str("\nAblation 2: quarantine threshold vs dangling-read prevention (Apache)\n");
-    out.push_str("  threshold  failures  peak quarantine bytes\n");
+    out.push_str(
+        "  threshold  failures  final quarantine bytes  recoveries: precise/generic/drop\n",
+    );
     for q in quarantine_sweep(&[512, 1 << 20]) {
+        let l = &q.ladder;
         out.push_str(&format!(
-            "  {:<10} {:<9} {}\n",
-            q.threshold, q.failures, q.peak_bytes
+            "  {:<10} {:<9} {:<23} {}/{}/{}\n",
+            q.threshold,
+            q.failures,
+            q.final_bytes,
+            l.precise_patches,
+            l.generic_patches,
+            l.rollback_drops
         ));
     }
     out.push_str("\nAblation 3: adaptive vs fixed checkpoint interval (255.vortex)\n");

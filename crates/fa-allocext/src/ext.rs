@@ -15,7 +15,7 @@ use crate::canary::{check_canary, fill_canary};
 use crate::changes::ChangePlan;
 use crate::events::{IllegalKind, Manifestation, TraceEvent};
 use crate::intervals::IntervalSet;
-use crate::objtable::{ObjState, ObjectInfo, ObjectTable, PadInfo};
+use crate::objtable::{ColdInfo, Fill, ObjState, ObjectRecord, ObjectTable};
 use crate::patch::{PatchSet, PreventiveChange};
 use crate::quarantine::{QEntry, Quarantine, DEFAULT_QUARANTINE_BYTES};
 
@@ -354,31 +354,29 @@ impl ExtAllocator {
     fn scan_paddings(&mut self, mem: &mut SimMemory) -> Result<(), Fault> {
         let mut found = Vec::new();
         for info in self.table.iter() {
-            let Some(pad) = info.pad else { continue };
-            if !pad.canary {
+            let Some(pad) = info.pad() else { continue };
+            if !info.pad_canary() {
                 continue;
             }
             // Poisoned sentry slots are trap-on-access; their canaries
             // cannot (and need not) be rescanned.
-            if info
-                .sentried
-                .is_some_and(|s| self.sentry.as_ref().is_some_and(|e| e.is_poisoned(s)))
-            {
+            let sentried = self.table.cold(info).and_then(|c| c.sentried);
+            if sentried.is_some_and(|s| self.sentry.as_ref().is_some_and(|e| e.is_poisoned(s))) {
                 continue;
             }
-            if let Some((off, _)) = check_canary(mem, info.outer, pad.left)? {
+            let user = info.user();
+            if let Some((off, _)) = check_canary(mem, info.outer, pad)? {
                 found.push(Manifestation::PaddingCorrupt {
                     alloc_site: info.alloc_site,
-                    user: info.user,
+                    user,
                     right_side: false,
                     offset: off,
                 });
             }
-            let right_start = info.user.offset(info.size);
-            if let Some((off, _)) = check_canary(mem, right_start, pad.right)? {
+            if let Some((off, _)) = check_canary(mem, user.offset(info.size), pad)? {
                 found.push(Manifestation::PaddingCorrupt {
                     alloc_site: info.alloc_site,
-                    user: info.user,
+                    user,
                     right_side: true,
                     offset: off,
                 });
@@ -394,17 +392,17 @@ impl ExtAllocator {
             let Some(info) = self.table.get_by_user(entry.user) else {
                 continue;
             };
-            let ObjState::Quarantined { freed_site, canary } = info.state else {
+            let ObjState::Quarantined { freed_site, canary } = self.table.state(info) else {
                 continue;
             };
             if !canary {
                 continue;
             }
-            if let Some((off, _)) = check_canary(mem, info.user, info.size)? {
+            if let Some((off, _)) = check_canary(mem, entry.user, info.size)? {
                 found.push(Manifestation::QuarantineCorrupt {
                     freed_site,
                     alloc_site: info.alloc_site,
-                    user: info.user,
+                    user: entry.user,
                     offset: off,
                 });
             }
@@ -464,14 +462,6 @@ impl ExtAllocator {
     }
 }
 
-/// Allocation-time fill policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fill {
-    None,
-    Zero,
-    Canary,
-}
-
 impl AllocBackend for ExtAllocator {
     fn malloc(
         &mut self,
@@ -518,12 +508,12 @@ impl AllocBackend for ExtAllocator {
         };
         let outer = self.heap.malloc(mem, left + req + right)?;
         let user = outer.offset(left);
-        let heap_usable = self.heap.usable_size(mem, outer)?;
 
         // Memory handed out from a marked free region is legitimately
         // reused now; un-mark it (the chunk header, user area, and the
         // boundary header written right after the chunk).
         if !self.marks.is_empty() {
+            let heap_usable = self.heap.usable_size(mem, outer)?;
             let lo = outer.0 - 16;
             let hi = outer.0 + heap_usable + 16;
             trim_marks(&mut self.marks, lo, hi);
@@ -564,24 +554,15 @@ impl AllocBackend for ExtAllocator {
 
         self.seq += 1;
         let seq = self.seq;
-        self.table.insert(ObjectInfo {
-            user,
-            size: req,
-            outer,
-            outer_size: left + req + right,
-            alloc_site: site,
-            seq,
-            pad: pad.then_some(PadInfo {
-                left,
-                right,
-                canary: pad_canary,
-            }),
-            zero_filled: fill == Fill::Zero,
-            canary_filled: fill == Fill::Canary,
-            state: ObjState::Live,
+        let mut rec = ObjectRecord::new(outer, req, site, seq).filled(fill);
+        if pad {
+            rec = rec.padded(left, pad_canary);
+        }
+        let cold = ColdInfo {
             written: self.track_init.then(IntervalSet::new),
-            sentried: None,
-        });
+            ..ColdInfo::default()
+        };
+        self.table.insert(rec, cold);
         if self.tracing {
             self.trace.push(TraceEvent::Alloc {
                 seq,
@@ -607,19 +588,20 @@ impl AllocBackend for ExtAllocator {
         }
         self.note_dealloc_site(site);
 
-        let Some(info) = self.table.get_by_user(addr) else {
+        // One table walk finds the object; everything after works on
+        // this copy and removes it by its exact key.
+        let Some(&info) = self.table.get_by_user(addr) else {
             // Unknown pointer: either a wild free or a double free of an
             // object whose first free was real. Forward to the heap, which
             // aborts like glibc would.
             return Ok(self.heap.free(mem, addr)?);
         };
+        let sentried = self.table.cold(&info).and_then(|c| c.sentried);
+        let (seq, size, outer, alloc_site) = (info.seq, info.size, info.outer, info.alloc_site);
 
-        if let ObjState::Quarantined { freed_site, .. } = info.state {
-            let seq = info.seq;
-            let poisoned_slot = info
-                .sentried
-                .filter(|&s| self.sentry.as_ref().is_some_and(|e| e.is_poisoned(s)));
-            let (alloc_site, size) = (info.alloc_site, info.size);
+        if let ObjState::Quarantined { freed_site, .. } = self.table.state(&info) {
+            let poisoned_slot =
+                sentried.filter(|&s| self.sentry.as_ref().is_some_and(|e| e.is_poisoned(s)));
             // Parameter check (paper Table 1, double free row): the object
             // is already free but still quarantined — record and neutralize.
             self.manifests.push(Manifestation::DoubleFree {
@@ -678,15 +660,6 @@ impl AllocBackend for ExtAllocator {
             }
         };
 
-        let seq = info.seq;
-        let user = info.user;
-        let size = info.size;
-        let outer = info.outer;
-        let outer_size = info.outer_size;
-        let pad = info.pad;
-        let sentried = info.sentried;
-        let alloc_site = info.alloc_site;
-
         if let Some(idx) = patch_idx {
             *self.counters.patch_triggers.entry(idx).or_insert(0) += 1;
         }
@@ -696,32 +669,24 @@ impl AllocBackend for ExtAllocator {
             self.note_change(site);
             if canary {
                 clock.advance(cost_fill(size));
-                fill_canary(mem, user, size)?;
+                fill_canary(mem, addr, size)?;
             }
-            if let Some(obj) = self.table.get_by_user_mut(addr) {
-                obj.state = ObjState::Quarantined {
-                    freed_site: site,
-                    canary,
-                };
-            }
+            self.table.quarantine(outer, site, canary);
             // The byte threshold protects long-running *patched*
             // executions. Diagnostic re-executions are short and rolled
             // back afterwards; evicting there would release exactly the
             // objects the preventive change is trying to keep resident
             // (and, with heap marks live, scribble free-list cookies into
             // marked regions). Hold everything during diagnosis.
+            let entry = QEntry {
+                user: addr,
+                bytes: info.outer_size(),
+                seq,
+            };
             let evicted = if self.marks.is_empty() && self.mode != ExtMode::Diagnostic {
-                self.quarantine.push(QEntry {
-                    user,
-                    bytes: outer_size,
-                    seq,
-                })
+                self.quarantine.push(entry)
             } else {
-                self.quarantine.push_unbounded(QEntry {
-                    user,
-                    bytes: outer_size,
-                    seq,
-                })
+                self.quarantine.push_unbounded(entry)
             };
             for old in evicted {
                 self.really_free(mem, old.user)?;
@@ -729,7 +694,7 @@ impl AllocBackend for ExtAllocator {
             if self.tracing {
                 self.trace.push(TraceEvent::Dealloc {
                     seq,
-                    user,
+                    user: addr,
                     site,
                     delayed_by: patch_idx,
                 });
@@ -740,32 +705,30 @@ impl AllocBackend for ExtAllocator {
         // Real free: before the object vanishes (or its slot is
         // poisoned), harvest any canary evidence from its padding.
         let mut slack_corrupt = false;
-        if let Some(p) = pad {
-            if p.canary {
-                if let Some((off, _)) = check_canary(mem, outer, p.left)? {
+        if let Some(pad) = info.pad() {
+            if info.pad_canary() {
+                if let Some((off, _)) = check_canary(mem, outer, pad)? {
                     slack_corrupt = true;
                     self.manifests.push(Manifestation::PaddingCorrupt {
                         alloc_site,
-                        user,
+                        user: addr,
                         right_side: false,
                         offset: off,
                     });
                 }
-                if let Some((off, _)) = check_canary(mem, user.offset(size), p.right)? {
+                if let Some((off, _)) = check_canary(mem, addr.offset(size), pad)? {
                     slack_corrupt = true;
                     self.manifests.push(Manifestation::PaddingCorrupt {
                         alloc_site,
-                        user,
+                        user: addr,
                         right_side: true,
                         offset: off,
                     });
                 }
             }
             if sentried.is_none() {
-                self.counters.cur_padding_bytes = self
-                    .counters
-                    .cur_padding_bytes
-                    .saturating_sub(p.left + p.right);
+                self.counters.cur_padding_bytes =
+                    self.counters.cur_padding_bytes.saturating_sub(2 * pad);
             }
         }
         if let Some(slot) = sentried {
@@ -774,26 +737,21 @@ impl AllocBackend for ExtAllocator {
             // dangling accesses keep trapping long after this free. The
             // object stays in the table for attribution.
             clock.advance(COST_SENTRY_POISON);
-            if let Some(obj) = self.table.get_by_user_mut(addr) {
-                obj.state = ObjState::Quarantined {
-                    freed_site: site,
-                    canary: false,
-                };
-            }
+            self.table.quarantine(outer, site, false);
             let engine = self.sentry.as_mut().expect("sentried implies engine");
             engine.poison(mem, slot);
             engine.charge_overhead(COST_SENTRY_POISON);
             if self.tracing {
                 self.trace.push(TraceEvent::Dealloc {
                     seq,
-                    user,
+                    user: addr,
                     site,
                     delayed_by: None,
                 });
             }
             // Corrupt slot slack with no padding change active is silent
             // overflow evidence that would otherwise go unnoticed.
-            if slack_corrupt && pad.is_some_and(|p| p.left == SLOT_SLACK) {
+            if slack_corrupt && info.pad() == Some(SLOT_SLACK) {
                 let rec = TrapRecord {
                     kind: TrapKind::CanaryOnFree,
                     access: None,
@@ -817,12 +775,12 @@ impl AllocBackend for ExtAllocator {
             }
             return Ok(());
         }
-        self.table.remove_by_user(addr);
+        self.table.remove(outer);
         self.heap.free(mem, outer)?;
         if self.tracing {
             self.trace.push(TraceEvent::Dealloc {
                 seq,
-                user,
+                user: addr,
                 site,
                 delayed_by: None,
             });
@@ -841,7 +799,7 @@ impl AllocBackend for ExtAllocator {
         let Some(info) = self.table.get_by_user(addr) else {
             return Ok(self.heap.realloc(mem, addr, req)?);
         };
-        if matches!(info.state, ObjState::Quarantined { .. }) {
+        if info.is_quarantined() {
             return Err(Fault::Heap(fa_heap::HeapError::InvalidFree {
                 addr,
                 kind: fa_heap::InvalidFreeKind::DoubleFree,
@@ -852,8 +810,8 @@ impl AllocBackend for ExtAllocator {
         let kept = old_size.min(req);
         clock.advance(cost_fill(kept));
         mem.copy(new, addr, kept)?;
-        if let Some(obj) = self.table.get_by_user_mut(new) {
-            if let Some(w) = obj.written.as_mut() {
+        if let Some(&obj) = self.table.get_by_user(new) {
+            if let Some(w) = self.table.written_mut(&obj) {
                 w.insert(0, kept);
             }
         }
@@ -900,91 +858,80 @@ impl AllocBackend for ExtAllocator {
         let tracing = self.tracing;
         let mut illegal: Option<(IllegalKind, u64, u64, Option<usize>)> = None;
         let mut trap: Option<TrapRecord> = None;
-        if let Some(info) = self.table.find_containing_mut(addr) {
+        if let Some(&info) = self.table.find_containing(addr) {
             let end = addr.0 + len;
-            match &info.state {
-                ObjState::Quarantined { .. } => {
-                    let offset = addr.0.saturating_sub(info.user.0);
-                    let ik = match kind {
-                        AccessKind::Read => IllegalKind::QuarantineRead,
-                        AccessKind::Write => IllegalKind::QuarantineWrite,
-                    };
-                    illegal = Some((ik, info.seq, offset, None));
-                    // A poisoned sentry slot traps the dangling access at
-                    // the page level ([`fa_mem::Perms::POISONED`]) and is
-                    // attributed in `on_guard_trap`; a delay-free change
-                    // (quarantine) leaves the page accessible, so
-                    // preventive trials stay clean. Either way this hook
-                    // only records the illegal-access evidence.
+            let cold = self.table.cold(&info);
+            let sentried = cold.and_then(|c| c.sentried);
+            let user = info.user();
+            if info.is_quarantined() {
+                let offset = addr.0.saturating_sub(user.0);
+                let ik = match kind {
+                    AccessKind::Read => IllegalKind::QuarantineRead,
+                    AccessKind::Write => IllegalKind::QuarantineWrite,
+                };
+                illegal = Some((ik, info.seq, offset, None));
+                // A poisoned sentry slot traps the dangling access at
+                // the page level ([`fa_mem::Perms::POISONED`]) and is
+                // attributed in `on_guard_trap`; a delay-free change
+                // (quarantine) leaves the page accessible, so
+                // preventive trials stay clean. Either way this hook
+                // only records the illegal-access evidence.
+            } else if info.in_user(addr) {
+                let off = addr.0 - user.0;
+                let end_off = (end - user.0).min(info.size);
+                let written = cold.and_then(|c| c.written.as_ref());
+                let uninit =
+                    kind == AccessKind::Read && written.is_some_and(|w| !w.covers(off, end_off));
+                if uninit {
+                    // Reading bytes the app never wrote: an uninitialized
+                    // read, neutralized when the object was zero-filled.
+                    let patch = (info.fill() == Fill::Zero).then_some(0usize);
+                    illegal = Some((IllegalKind::UninitRead, info.seq, off, patch));
+                    // Sentried objects always track writes, so this is
+                    // caught even in production — unless a fill change
+                    // defused it.
+                    if let Some(slot) = sentried {
+                        if info.fill() == Fill::None {
+                            trap = Some(TrapRecord {
+                                kind: TrapKind::UninitReadSlot,
+                                access: Some(kind),
+                                addr,
+                                len,
+                                alloc_site: info.alloc_site,
+                                free_site: None,
+                                access_site: Some(site),
+                                size: info.size,
+                                slot,
+                            });
+                        }
+                    }
                 }
-                ObjState::Live => {
-                    if info.in_user(addr) {
-                        let off = addr.0 - info.user.0;
-                        let end_off = (end - info.user.0).min(info.size);
-                        match kind {
-                            AccessKind::Write => {
-                                if let Some(w) = info.written.as_mut() {
-                                    w.insert(off, end_off);
-                                }
-                            }
-                            AccessKind::Read => {
-                                let covered = info
-                                    .written
-                                    .as_ref()
-                                    .map(|w| w.covers(off, end_off))
-                                    .unwrap_or(true);
-                                if !covered {
-                                    // Reading bytes the app never wrote: an
-                                    // uninitialized read, neutralized when
-                                    // the object was zero-filled.
-                                    let patch = info.zero_filled.then_some(0usize);
-                                    illegal = Some((IllegalKind::UninitRead, info.seq, off, patch));
-                                    // Sentried objects always track writes,
-                                    // so this is caught even in production —
-                                    // unless a fill change defused it.
-                                    if let Some(slot) = info.sentried {
-                                        if !info.zero_filled && !info.canary_filled {
-                                            trap = Some(TrapRecord {
-                                                kind: TrapKind::UninitReadSlot,
-                                                access: Some(kind),
-                                                addr,
-                                                len,
-                                                alloc_site: info.alloc_site,
-                                                free_site: None,
-                                                access_site: Some(site),
-                                                size: info.size,
-                                                slot,
-                                            });
-                                        }
-                                    }
-                                    // Report each uninit read once.
-                                    if let Some(w) = info.written.as_mut() {
-                                        w.insert(off, end_off);
-                                    }
-                                }
-                            }
-                        }
-                    } else if info.in_padding(addr) && kind == AccessKind::Write {
-                        let offset = addr.0 - info.outer.0;
-                        illegal = Some((IllegalKind::PaddingWrite, info.seq, offset, None));
-                        // Pure slot slack (no padding change in play)
-                        // catches the overflow in flight; a padding
-                        // change absorbs or canaries it instead.
-                        if let Some(slot) = info.sentried {
-                            if info.pad.is_some_and(|p| p.left == SLOT_SLACK) {
-                                trap = Some(TrapRecord {
-                                    kind: TrapKind::GuardHit,
-                                    access: Some(kind),
-                                    addr,
-                                    len,
-                                    alloc_site: info.alloc_site,
-                                    free_site: None,
-                                    access_site: Some(site),
-                                    size: info.size,
-                                    slot,
-                                });
-                            }
-                        }
+                // A write extends the initialized ranges; so does an
+                // uninitialized read, so that each is reported once.
+                if written.is_some() && (kind == AccessKind::Write || uninit) {
+                    if let Some(w) = self.table.written_mut(&info) {
+                        w.insert(off, end_off);
+                    }
+                }
+            } else if info.in_padding(addr) && kind == AccessKind::Write {
+                let offset = addr.0 - info.outer.0;
+                illegal = Some((IllegalKind::PaddingWrite, info.seq, offset, None));
+                // Pure slot slack (no padding change in play) catches the
+                // overflow in flight; a padding change absorbs or
+                // canaries it instead.
+                if let Some(slot) = sentried {
+                    if info.pad() == Some(SLOT_SLACK) {
+                        trap = Some(TrapRecord {
+                            kind: TrapKind::GuardHit,
+                            access: Some(kind),
+                            addr,
+                            len,
+                            alloc_site: info.alloc_site,
+                            free_site: None,
+                            access_site: Some(site),
+                            size: info.size,
+                            slot,
+                        });
                     }
                 }
             }
@@ -1041,9 +988,10 @@ impl AllocBackend for ExtAllocator {
             return;
         };
         let rec = match self.table.find_containing(addr) {
-            Some(info) => match &info.state {
+            Some(info) => match self.table.state(info) {
                 ObjState::Quarantined { freed_site, .. }
-                    if info.sentried == Some(slot) && engine.is_poisoned(slot) =>
+                    if self.table.cold(info).and_then(|c| c.sentried) == Some(slot)
+                        && engine.is_poisoned(slot) =>
                 {
                     TrapRecord {
                         kind: TrapKind::PoisonAccess,
@@ -1051,7 +999,7 @@ impl AllocBackend for ExtAllocator {
                         addr,
                         len,
                         alloc_site: info.alloc_site,
-                        free_site: Some(*freed_site),
+                        free_site: Some(freed_site),
                         access_site: Some(site),
                         size: info.size,
                         slot,
@@ -1133,7 +1081,7 @@ impl ExtAllocator {
         clock.advance(COST_SENTRY_PLACE);
         let extra = if pad { self.pad_each } else { 0 };
         let left = SLOT_SLACK + extra;
-        let right = SLOT_SLACK + extra;
+        let right = left;
         let outer = placement.data;
         let user = outer.offset(left);
         // Pure slack is always canaried; a padding change keeps its own
@@ -1168,26 +1116,17 @@ impl ExtAllocator {
         }
         self.seq += 1;
         let seq = self.seq;
-        self.table.insert(ObjectInfo {
-            user,
-            size: req,
-            outer,
-            outer_size: left + req + right,
-            alloc_site: site,
-            seq,
-            pad: Some(PadInfo {
-                left,
-                right,
-                canary,
-            }),
-            zero_filled: fill == Fill::Zero,
-            canary_filled: fill == Fill::Canary,
-            state: ObjState::Live,
+        let rec = ObjectRecord::new(outer, req, site, seq)
+            .padded(left, canary)
+            .filled(fill);
+        let cold = ColdInfo {
+            freed_site: None,
             // Always tracked, so uninitialized reads of sampled objects
             // are caught even in production mode.
             written: Some(IntervalSet::new()),
             sentried: Some(placement.slot),
-        });
+        };
+        self.table.insert(rec, cold);
         if let Some(engine) = self.sentry.as_mut() {
             engine.charge_overhead(
                 COST_SENTRY_PLACE + if canary { cost_fill(left + right) } else { 0 },
@@ -1208,32 +1147,30 @@ impl ExtAllocator {
     /// Really deallocates a quarantined object (eviction path), checking
     /// its canary first.
     fn really_free(&mut self, mem: &mut SimMemory, user: Addr) -> Result<(), Fault> {
-        let Some(info) = self.table.get_by_user(user) else {
+        let Some(&info) = self.table.get_by_user(user) else {
             return Ok(());
         };
-        if let ObjState::Quarantined { freed_site, canary } = info.state {
+        if let ObjState::Quarantined { freed_site, canary } = self.table.state(&info) {
             if canary {
-                if let Some((off, _)) = check_canary(mem, info.user, info.size)? {
+                if let Some((off, _)) = check_canary(mem, user, info.size)? {
                     self.manifests.push(Manifestation::QuarantineCorrupt {
                         freed_site,
                         alloc_site: info.alloc_site,
-                        user: info.user,
+                        user,
                         offset: off,
                     });
                 }
             }
         }
         let outer = info.outer;
-        let sentried = info.sentried;
-        if let Some(p) = info.pad {
+        let sentried = self.table.cold(&info).and_then(|c| c.sentried);
+        if let Some(pad) = info.pad() {
             if sentried.is_none() {
-                self.counters.cur_padding_bytes = self
-                    .counters
-                    .cur_padding_bytes
-                    .saturating_sub(p.left + p.right);
+                self.counters.cur_padding_bytes =
+                    self.counters.cur_padding_bytes.saturating_sub(2 * pad);
             }
         }
-        self.table.remove_by_user(user);
+        self.table.remove(outer);
         if let Some(slot) = sentried {
             // The slot goes back to the free list unpoisoned: the object
             // left through the ordinary delayed-free quarantine.
@@ -1299,6 +1236,12 @@ mod tests {
         CallSite([id, 0, 0])
     }
 
+    /// The sentry slot of the object at user pointer `p`, if sampled.
+    fn sentried(ext: &ExtAllocator, p: Addr) -> Option<usize> {
+        let table = ext.table();
+        table.cold(table.get_by_user(p)?)?.sentried
+    }
+
     #[test]
     fn normal_mode_is_transparent() {
         let (mut mem, mut ext, mut clock) = setup();
@@ -1319,8 +1262,8 @@ mod tests {
         let b = ext.malloc(&mut mem, &mut clock, 64, site(2)).unwrap();
         let ia = ext.table().get_by_user(a).unwrap();
         let ib = ext.table().get_by_user(b).unwrap();
-        assert!(ia.pad.is_some());
-        assert!(ib.pad.is_none());
+        assert!(ia.pad().is_some());
+        assert!(ib.pad().is_none());
         assert_eq!(ext.counters().objects_padded, 1);
         assert_eq!(ext.counters().patch_triggers.get(&0), Some(&1));
         assert_eq!(
@@ -1651,10 +1594,10 @@ mod tests {
             &symbols,
         )]));
         let p = ext.malloc(&mut mem, &mut clock, 32, site(9)).unwrap();
-        assert!(ext.table().get_by_user(p).unwrap().pad.is_none());
+        assert!(ext.table().get_by_user(p).unwrap().pad().is_none());
         // Realloc at the patched site: the new object is padded.
         let q = ext.realloc(&mut mem, &mut clock, p, 64, site(1)).unwrap();
-        assert!(ext.table().get_by_user(q).unwrap().pad.is_some());
+        assert!(ext.table().get_by_user(q).unwrap().pad().is_some());
         assert_eq!(ext.counters().objects_padded, 1);
     }
 
@@ -1685,7 +1628,7 @@ mod tests {
     fn sentry_poison_traps_dangling_read_in_normal_mode() {
         let (mut mem, mut ext, mut clock) = sentry_setup();
         let a = ext.malloc(&mut mem, &mut clock, 64, site(1)).unwrap();
-        assert!(ext.table().get_by_user(a).unwrap().sentried.is_some());
+        assert!(sentried(&ext, a).is_some());
         ext.observe_access(&mut clock, a, 8, AccessKind::Write, site(4))
             .unwrap();
         ext.free(&mut mem, &mut clock, a, site(2)).unwrap();
@@ -1804,8 +1747,9 @@ mod tests {
         )]));
         let a = ext.malloc(&mut mem, &mut clock, 64, site(1)).unwrap();
         let b = ext.malloc(&mut mem, &mut clock, 64, site(2)).unwrap();
-        assert!(ext.table().get_by_user(a).unwrap().sentried.is_none());
-        assert!(ext.table().get_by_user(b).unwrap().sentried.is_some());
+        assert!(ext.table().get_by_user(a).is_some());
+        assert!(sentried(&ext, a).is_none());
+        assert!(sentried(&ext, b).is_some());
     }
 
     #[test]
@@ -1813,10 +1757,9 @@ mod tests {
         let (mut mem, mut ext, mut clock) = sentry_setup();
         ext.set_diagnostic(ChangePlan::all_preventive());
         let a = ext.malloc(&mut mem, &mut clock, 64, site(1)).unwrap();
-        let info = ext.table().get_by_user(a).unwrap();
-        assert!(info.sentried.is_some());
+        assert!(sentried(&ext, a).is_some());
         assert!(
-            info.pad.unwrap().left > SLOT_SLACK,
+            ext.table().get_by_user(a).unwrap().pad().unwrap() > SLOT_SLACK,
             "plan pad moved into slot"
         );
         // The overflow lands in the preventive padding inside the slot:
@@ -1865,9 +1808,9 @@ mod tests {
         for i in 0..200u64 {
             let s = site(i % 7);
             let a = ext.malloc(&mut mem, &mut clock, 40, s).unwrap();
-            sampled.push(ext.table().get_by_user(a).unwrap().sentried);
+            sampled.push(sentried(&ext, a));
             let b = ext2.malloc(&mut mem2, &mut clock2, 40, s).unwrap();
-            sampled2.push(ext2.table().get_by_user(b).unwrap().sentried);
+            sampled2.push(sentried(&ext2, b));
             if i % 3 == 0 {
                 ext.free(&mut mem, &mut clock, a, site(50)).unwrap();
                 ext2.free(&mut mem2, &mut clock2, b, site(50)).unwrap();

@@ -47,7 +47,7 @@ pub use changes::{ChangePlan, Mode};
 pub use events::{IllegalKind, Manifestation, TraceEvent};
 pub use ext::{ExtAllocator, ExtCounters, ExtMode, PAD_EACH_SIDE};
 pub use intervals::IntervalSet;
-pub use objtable::{ObjState, ObjectInfo, ObjectTable, PadInfo};
+pub use objtable::{ColdInfo, Fill, ObjState, ObjectRecord, ObjectTable};
 pub use patch::{Patch, PatchSet, PreventiveChange, GENERIC_SITE};
 pub use quarantine::{Quarantine, DEFAULT_QUARANTINE_BYTES};
 

@@ -106,15 +106,15 @@ fn run_script(ops: &[Op], configure: impl FnOnce(&mut ExtAllocator)) {
             );
             let info = ext.table().get_by_user(p).expect("live object tracked");
             assert_eq!(info.size, size);
-            assert!(matches!(info.state, ObjState::Live));
+            assert!(matches!(ext.table().state(info), ObjState::Live));
         }
     }
     // Quarantined bytes must match the quarantine's accounting.
     let quarantined: u64 = ext
         .table()
         .iter()
-        .filter(|o| matches!(o.state, ObjState::Quarantined { .. }))
-        .map(|o| o.outer_size)
+        .filter(|o| matches!(ext.table().state(o), ObjState::Quarantined { .. }))
+        .map(|o| o.outer_size())
         .sum();
     assert_eq!(quarantined, ext.quarantine().bytes());
     // Structural check of the underlying heap.

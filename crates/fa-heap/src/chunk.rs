@@ -54,8 +54,7 @@ pub struct ChunkHeader {
 impl ChunkHeader {
     /// Reads and decodes the header of the chunk starting at `chunk`.
     pub fn read(mem: &mut SimMemory, chunk: Addr) -> Result<ChunkHeader, MemFault> {
-        let prev_size = mem.read_u64(chunk)?;
-        let raw = mem.read_u64(chunk.offset(8))?;
+        let (prev_size, raw) = read_words(mem, chunk)?;
         Ok(ChunkHeader {
             prev_size,
             size: raw & !FLAG_MASK,
@@ -73,8 +72,7 @@ impl ChunkHeader {
         if self.prev_in_use {
             raw |= PREV_INUSE;
         }
-        mem.write_u64(chunk, self.prev_size)?;
-        mem.write_u64(chunk.offset(8), raw)
+        write_words(mem, chunk, self.prev_size, raw)
     }
 
     /// Returns the user-data address of the chunk at `chunk`.
@@ -96,6 +94,39 @@ impl ChunkHeader {
     }
 }
 
+/// Reads the two little-endian words at `addr` in one 16-byte access.
+///
+/// Only when that access faults is it redone word by word, so a fault is
+/// exactly the one two 8-byte reads return: it names the first word that
+/// faults, with `len: 8`.
+pub(crate) fn read_words(mem: &mut SimMemory, addr: Addr) -> Result<(u64, u64), MemFault> {
+    let mut buf = [0u8; 16];
+    if mem.read(addr, &mut buf).is_err() {
+        return Ok((mem.read_u64(addr)?, mem.read_u64(addr.offset(8))?));
+    }
+    let both = u128::from_le_bytes(buf);
+    Ok((both as u64, (both >> 64) as u64))
+}
+
+/// Writes two little-endian words at `addr` in one 16-byte access.
+///
+/// Only when that access faults is it redone word by word, so the fault
+/// and the partial store are exactly those of two 8-byte writes: the
+/// first word lands when only the second faults.
+pub(crate) fn write_words(
+    mem: &mut SimMemory,
+    addr: Addr,
+    lo: u64,
+    hi: u64,
+) -> Result<(), MemFault> {
+    let both = u128::from(lo) | u128::from(hi) << 64;
+    if mem.write(addr, &both.to_le_bytes()).is_err() {
+        mem.write_u64(addr, lo)?;
+        mem.write_u64(addr.offset(8), hi)?;
+    }
+    Ok(())
+}
+
 /// Rounds a user request up to a legal total chunk size.
 #[inline]
 pub fn request_to_chunk_size(req: u64) -> u64 {
@@ -105,6 +136,8 @@ pub fn request_to_chunk_size(req: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use fa_mem::AccessKind;
+
     use super::*;
 
     fn mem_with_heap() -> SimMemory {
@@ -139,6 +172,42 @@ mod tests {
         let back = ChunkHeader::read(&mut mem, Addr(0x1000)).unwrap();
         assert_eq!(back.size, 48);
         assert!(back.in_use && back.prev_in_use);
+    }
+
+    /// A header whose first word is mapped and whose second is not reads
+    /// and writes exactly as two 8-byte accesses do: the same fault, and
+    /// the first word stored.
+    #[test]
+    fn a_tag_across_the_region_end_faults_like_two_words() {
+        let mut mem = mem_with_heap();
+        let end = Addr(0x1000 + (1 << 16));
+        let at = end.back(8);
+        let hdr = ChunkHeader {
+            prev_size: 0x1234,
+            size: 64,
+            in_use: true,
+            prev_in_use: true,
+        };
+        let fault = |kind| MemFault::AccessViolation {
+            addr: end,
+            kind,
+            len: 8,
+        };
+        let mut words = mem_with_heap();
+        let expected = words
+            .write_u64(at, hdr.prev_size)
+            .and(words.write_u64(end, 64 | THIS_INUSE | PREV_INUSE));
+        assert_eq!(expected, Err(fault(AccessKind::Write)));
+        assert_eq!(hdr.write(&mut mem, at), expected);
+        assert_eq!(mem.read_u64(at), Ok(0x1234), "the first word is stored");
+        assert_eq!(mem.bytes_written(), words.bytes_written());
+
+        let expected = words.read_u64(at).and(words.read_u64(end));
+        assert_eq!(expected, Err(fault(AccessKind::Read)));
+        assert_eq!(
+            ChunkHeader::read(&mut mem, at).map(|h| h.prev_size),
+            expected
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::{RngExt, SeedableRng};
 
 use fa_mem::{Addr, RegionId, SimMemory};
 
-use crate::chunk::{request_to_chunk_size, ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
+use crate::chunk::{request_to_chunk_size, write_words, ChunkHeader, ALIGN, HDR_SIZE, MIN_CHUNK};
 use crate::error::{CorruptKind, HeapError, InvalidFreeKind};
 
 /// Free-list cookie written over the first user bytes of a freed chunk,
@@ -517,8 +517,8 @@ impl Heap {
     /// chunk, mimicking dlmalloc's in-band `fd`/`bk` pointers.
     fn clobber_freed(&self, mem: &mut SimMemory, chunk: Addr) -> Result<(), HeapError> {
         let user = ChunkHeader::user_of(chunk);
-        mem.write_u64(user, FREE_COOKIE ^ chunk.0)?;
-        mem.write_u64(user.offset(8), FREE_COOKIE.rotate_left(17) ^ chunk.0)?;
+        let (lo, hi) = (FREE_COOKIE ^ chunk.0, FREE_COOKIE.rotate_left(17) ^ chunk.0);
+        write_words(mem, user, lo, hi)?;
         Ok(())
     }
 

@@ -26,7 +26,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Runs a script against a fresh heap, checking data integrity for every
-/// live object and structural integrity periodically.
+/// live object and structural integrity after every operation.
 fn run_script(ops: &[Op], seed: Option<u64>) {
     let mut mem = SimMemory::new();
     let mut heap = Heap::new(&mut mem, Addr(0x1000_0000), 1 << 26).unwrap();
@@ -82,9 +82,7 @@ fn run_script(ops: &[Op], seed: Option<u64>) {
                 "object at {p} corrupted after op {i}"
             );
         }
-        if i % 16 == 15 {
-            heap.check_integrity(&mut mem).unwrap();
-        }
+        heap.check_integrity(&mut mem).unwrap();
     }
     for (p, _, _) in live {
         heap.free(&mut mem, p).unwrap();

@@ -1,7 +1,7 @@
 //! The simulated address space.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::addr::Addr;
@@ -57,7 +57,9 @@ pub struct SimMemory {
     /// Page-table root, `Arc`-shared with outstanding snapshots.
     root: Arc<Root>,
     /// Page numbers written since the last [`Self::take_dirty_pages`] call.
-    dirty: BTreeSet<u64>,
+    /// A hash set, so that clearing it at every checkpoint keeps its
+    /// allocation instead of freeing one tree node per few pages.
+    dirty: HashSet<u64>,
     /// Number of materialized frames.
     resident: usize,
     /// Next region id to hand out.
@@ -103,7 +105,7 @@ impl SimMemory {
         SimMemory {
             regions: Vec::new(),
             root: Arc::new(Root::new()),
-            dirty: BTreeSet::new(),
+            dirty: HashSet::new(),
             resident: 0,
             next_region: 0,
             epoch: 0,

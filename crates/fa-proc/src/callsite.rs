@@ -13,6 +13,7 @@
 //! `util_ald_free ← util_ald_cache_purge ← util_ald_cache_insert`.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -61,10 +62,32 @@ pub fn intern_name(name: &str) -> u64 {
     }
 }
 
+/// Hashes a frame id to itself: the id is already an FNV-1a hash, so
+/// hashing it again (SipHash, the `HashMap` default) only costs time.
+#[derive(Default)]
+struct FrameIdHasher(u64);
+
+impl Hasher for FrameIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached for `u64` keys; fold anything else.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+}
+
 /// Maps frame ids back to function names for reports.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
-    names: HashMap<u64, String>,
+    names: HashMap<u64, String, BuildHasherDefault<FrameIdHasher>>,
 }
 
 impl SymbolTable {
