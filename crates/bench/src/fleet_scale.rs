@@ -300,9 +300,9 @@ pub fn render(report: &FleetScaleReport) -> String {
 
 /// The CI gate. Absolute gates (speedup, sublinearity, coverage) apply
 /// to the fresh measurement; baseline gates (determinism equality,
-/// throughput relative to the unchecked reference) additionally apply when
-/// a readable baseline exists.
-pub fn check(baseline: Option<&FleetScaleReport>, current: &FleetScaleReport) -> Vec<String> {
+/// throughput relative to the unchecked reference) compare it with
+/// `base`.
+pub fn check(base: &FleetScaleReport, current: &FleetScaleReport) -> Vec<String> {
     let mut violations = Vec::new();
 
     if current.latency.speedup < SPEEDUP_GATE {
@@ -332,9 +332,6 @@ pub fn check(baseline: Option<&FleetScaleReport>, current: &FleetScaleReport) ->
         }
     }
 
-    let Some(base) = baseline else {
-        return violations;
-    };
     for cur in &current.points {
         let Some(b) = base.points.iter().find(|p| p.workers == cur.workers) else {
             violations.push(format!("baseline lacks the {}-worker point", cur.workers));

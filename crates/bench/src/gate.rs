@@ -1,73 +1,63 @@
-//! Plumbing shared by the bench binaries: loading the committed baseline
-//! a `--check` gate compares against, comparing a report with it field by
-//! field, enforcing a gate's violations, and writing a report to
-//! `results/`.
+//! Plumbing shared by the bench binaries: where the committed results
+//! live, loading the baseline a `--check` gate compares against,
+//! comparing a report with it field by field, enforcing a gate's
+//! violations, and writing a file to `results/`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-/// Loads the committed baseline at `path`. A missing file is `Ok(None)`
-/// (only the absolute gates apply); a file that exists but cannot be read
+/// The committed `results/` directory at the repository root. Every
+/// reader and writer resolves it from this crate's own location, so a
+/// gate run from any working directory compares the committed files.
+pub fn results_dir() -> PathBuf {
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = bench
+        .ancestors()
+        .nth(2)
+        .expect("fa-bench sits at crates/bench");
+    root.join("results")
+}
+
+/// Reads the committed file at `path`. A missing file is an error like
+/// an unreadable one: a gate without its baseline would check nothing.
+pub(crate) fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => format!("{} is missing", path.display()),
+        _ => format!("cannot read {}: {e}", path.display()),
+    })
+}
+
+/// Loads the committed baseline at `path`. A file that cannot be read
 /// or parsed is an error, so a schema change cannot silently disable the
-/// baseline gates.
-pub fn load_baseline<T: Deserialize>(path: &Path) -> Result<Option<T>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    serde_json::from_str(&text)
-        .map(Some)
-        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
+/// gate.
+pub fn load_baseline<T: Deserialize>(path: &Path) -> Result<T, String> {
+    let text = read(path)?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
-/// Loads `results/<name>.json` for the `name` gate. A missing baseline
-/// warns (only absolute gates apply); an unreadable or unparseable one
-/// exits nonzero.
-pub fn baseline<T: Deserialize>(name: &str) -> Option<T> {
-    let path = format!("results/{name}.json");
-    match load_baseline(Path::new(&path)) {
-        Ok(Some(base)) => Some(base),
-        Ok(None) => {
-            eprintln!("warning: no baseline at {path}; only absolute gates apply");
-            None
-        }
-        Err(e) => {
-            eprintln!("{name} baseline: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The exact gate of a bench whose every field is deterministic: with
-/// `--check` on the command line, compares `report` with the committed
-/// `results/<name>.json` field by field and exits nonzero on any
-/// difference; otherwise writes `report` there.
-pub fn check_or_write<T: Serialize>(name: &str, report: &T) {
-    if std::env::args().any(|a| a == "--check") {
-        let base: Option<Value> = baseline(name);
-        enforce(name, &check(base.as_ref(), &report.to_value()));
-    } else {
-        write_results(name, report);
-    }
+/// Loads `results/<name>.json` for the `name` gate, exiting nonzero if
+/// it is missing or cannot be read or parsed.
+pub fn baseline<T: Deserialize>(name: &str) -> T {
+    load_baseline(&results_dir().join(format!("{name}.json"))).unwrap_or_else(|e| {
+        eprintln!("{name} baseline: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Compares a fresh report with the committed `baseline`, field by
 /// field, returning one violation per differing field.
 ///
-/// For a report whose every field is on the virtual clock (`faults`,
-/// `fleet`) the comparison is exact: a changed retry gate, watchdog,
-/// ledger penalty or fleet schedule moves a counter, an instant or a
+/// Every field of the reports `repro` writes is on the virtual clock, so
+/// the comparison is exact: a changed retry gate, watchdog, ledger
+/// penalty or fleet schedule moves a counter, an instant or a
 /// throughput sample and fails it. The `serde_json` shim prints each
 /// `f64` with `{}`, which parses back to the same value, so float
 /// fields compare as values too.
-pub(crate) fn check(baseline: Option<&Value>, current: &Value) -> Vec<String> {
+pub(crate) fn check(baseline: &Value, current: &Value) -> Vec<String> {
     let mut violations = Vec::new();
-    if let Some(base) = baseline {
-        diff(String::new(), base, current, &mut violations);
-    }
+    diff(String::new(), baseline, current, &mut violations);
     violations
 }
 
@@ -124,19 +114,28 @@ pub fn enforce(name: &str, violations: &[String]) {
     std::process::exit(1);
 }
 
-/// Writes `report` to `results/<name>.json` (relative to the working
-/// directory, which is created if missing) and says where it went.
+/// Writes `contents` to `results/<file>` and says where it went,
+/// exiting nonzero if it cannot.
+pub fn write(file: &str, contents: &str) {
+    let dir = results_dir();
+    let written =
+        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(dir.join(file), contents));
+    if let Err(e) = written {
+        eprintln!("failed to write results/{file}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote results/{file}");
+}
+
+/// Writes `report` to `results/<name>.json`, exiting nonzero if it
+/// cannot.
 pub fn write_results<T: Serialize>(name: &str, report: &T) {
-    let path = format!("results/{name}.json");
     match serde_json::to_string_pretty(report) {
-        Ok(json) => {
-            std::fs::create_dir_all("results").ok();
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
+        Ok(json) => write(&format!("{name}.json"), &json),
+        Err(e) => {
+            eprintln!("failed to serialize {name}: {e}");
+            std::process::exit(1);
         }
-        Err(e) => eprintln!("failed to serialize results: {e}"),
     }
 }
 
@@ -150,19 +149,17 @@ mod tests {
     }
 
     fn committed<T: Deserialize>(name: &str) -> T {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results")
-            .join(format!("{name}.json"));
-        load_baseline(&path)
-            .unwrap()
-            .unwrap_or_else(|| panic!("results/{name}.json is committed"))
+        load_baseline(&results_dir().join(format!("{name}.json"))).unwrap()
     }
 
     #[test]
-    fn missing_baseline_is_none() {
+    fn missing_baseline_is_an_error() {
+        // A gate whose baseline is gone must fail, not pass on its
+        // absolute rules alone.
         let path = temp_path("missing.json");
         let _ = std::fs::remove_file(&path);
-        assert!(matches!(load_baseline::<PerfReport>(&path), Ok(None)));
+        let err = load_baseline::<PerfReport>(&path).unwrap_err();
+        assert!(err.ends_with("missing.json is missing"), "{err}");
     }
 
     #[test]
@@ -200,13 +197,9 @@ mod tests {
     #[test]
     fn check_names_each_field_that_moved() {
         let base = faults_report(1);
-        assert!(check(Some(&base), &faults_report(1)).is_empty());
-        assert!(
-            check(None, &faults_report(2)).is_empty(),
-            "no baseline, no diff"
-        );
+        assert!(check(&base, &faults_report(1)).is_empty());
         assert_eq!(
-            check(Some(&base), &faults_report(2)),
+            check(&base, &faults_report(2)),
             ["experiments[Squid/kitchen-sink].degradation.pool_io_errors: baseline 1, now 2"]
         );
         let mut fewer = faults_report(1);
@@ -215,7 +208,7 @@ mod tests {
                 rows.pop();
             }
         }
-        assert_eq!(check(Some(&base), &fewer).len(), 1, "a lost row fails");
+        assert_eq!(check(&base, &fewer).len(), 1, "a lost row fails");
     }
 
     #[test]
@@ -233,8 +226,8 @@ mod tests {
         let mbps = 18.3_f64;
         let next = f64::from_bits(mbps.to_bits() + 1);
         let base = report(mbps);
-        assert!(check(Some(&base), &report(mbps)).is_empty());
-        let moved = check(Some(&base), &report(next));
+        assert!(check(&base, &report(mbps)).is_empty());
+        let moved = check(&base, &report(next));
         assert_eq!(moved.len(), 1, "{moved:?}");
         assert_eq!(
             moved[0],

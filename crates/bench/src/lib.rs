@@ -1,7 +1,9 @@
 //! Experiment drivers: one module per table/figure of the paper's
-//! evaluation (§7). The binaries in `src/bin/` print the paper-format
-//! rows; integration tests assert the qualitative claims (who wins, what
-//! is prevented, which overheads are small).
+//! evaluation (§7) and per extension experiment. Four binaries drive
+//! them: `repro` writes and checks every deterministic result file, and
+//! `perf`, `crash` and `fleet_scale` measure the wall clock against
+//! their own rule-based gates. Integration tests assert the qualitative
+//! claims (who wins, what is prevented, which overheads are small).
 //!
 //! | module | regenerates |
 //! |---|---|
@@ -14,14 +16,18 @@
 //! | [`fig4`]   | Fig. 4 — throughput under repeated bug triggers |
 //! | [`fig5`]   | Fig. 5 — the Apache bug report |
 //! | [`fig6`]   | Fig. 6 — normal-execution time overhead |
+//! | [`ablation`] | Ablations — padding, quarantine threshold, adaptive interval |
 //! | [`fleet`]  | Fleet immunization — shared patch pool vs per-worker ablation |
 //! | [`faults`] | Fault injection — pipeline-stage failures and the degradation ladder |
+//! | [`sentry`] | Sentry tier — sampling overhead vs detection latency |
 //! | [`perf`]   | Wall-clock throughput, snapshot/restore, TLB and diagnosis-latency regression gate |
 //! | [`crash`]  | Crash-safe supervision — journal recovery cost vs a cold fleet start |
 //! | [`fleet_scale`] | 10²–10⁵ workers — per-input epoch signal, gossip propagation gates |
 //!
-//! [`gate`] holds what the binaries share: baseline loading for the
-//! `--check` gates and writing reports to `results/`.
+//! [`repro`] holds the table of deterministic outputs and their
+//! comparison with `results/`. [`gate`] holds what every binary shares:
+//! where `results/` is, baseline loading for the `--check` gates, and
+//! writing files there.
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +41,7 @@ pub mod fleet;
 pub mod fleet_scale;
 pub mod gate;
 pub mod perf;
+pub mod repro;
 pub mod sentry;
 pub mod table2;
 pub mod table3;
@@ -43,29 +50,12 @@ pub mod table5;
 pub mod table6;
 pub mod table7;
 
-use fa_checkpoint::AdaptiveConfig;
-use first_aid_core::{EngineConfig, FirstAidConfig};
+use first_aid_core::FirstAidConfig;
 
-/// The experiment-wide First-Aid configuration: 200 ms checkpoint
-/// intervals as in paper §7.2.
+/// The experiment-wide First-Aid configuration: the runtime's defaults,
+/// whose 200 ms checkpoint intervals are the paper's (§7.2).
 pub fn paper_config() -> FirstAidConfig {
-    FirstAidConfig {
-        adaptive: AdaptiveConfig::default(),
-        engine: EngineConfig::default(),
-        ..FirstAidConfig::default()
-    }
-}
-
-/// A scaled-down configuration for fast CI runs (20 ms intervals).
-pub fn quick_config() -> FirstAidConfig {
-    FirstAidConfig {
-        adaptive: AdaptiveConfig {
-            base_interval_ns: 20_000_000,
-            max_interval_ns: 320_000_000,
-            ..AdaptiveConfig::default()
-        },
-        ..FirstAidConfig::default()
-    }
+    FirstAidConfig::default()
 }
 
 /// Formats a fraction as a percentage string.

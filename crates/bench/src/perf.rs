@@ -493,13 +493,12 @@ pub fn measure(quick: bool) -> PerfReport {
     }
 }
 
-/// Compares `current` against `baseline`, returning the violations.
+/// Compares `current` against `base`, returning the violations.
 ///
 /// The TLB floor, the canary check/fill ratio, the fill/write ratio and
-/// the big-checkpoint pause per dirty page are absolute (they hold with or
-/// without a baseline); the remaining gates need a baseline to compare
-/// against.
-pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String> {
+/// the big-checkpoint pause per dirty page are absolute; the remaining
+/// gates compare with the baseline.
+pub fn check(base: &PerfReport, current: &PerfReport) -> Vec<String> {
     let mut violations = Vec::new();
     if current.memory.tlb_hit_rate < 0.5 {
         violations.push(format!(
@@ -535,9 +534,6 @@ pub fn check(baseline: Option<&PerfReport>, current: &PerfReport) -> Vec<String>
             big.profile, big.pause_ns_per_dirty_page, big.pause_us, big.dirty_pages
         ));
     }
-    let Some(base) = baseline else {
-        return violations;
-    };
     for cur in &current.throughput {
         if let Some(b) = base.throughput.iter().find(|b| b.app == cur.app) {
             if cur.inputs_per_sec < b.inputs_per_sec * 0.35 {

@@ -51,20 +51,17 @@ fn measure(app: BoxedApp, workload: Vec<Input>, name: &str) -> Table6Row {
 }
 
 /// Runs all 22 programs (7 apps + 11 SPEC + 4 allocation-intensive).
-///
-/// `scale` divides the workload lengths for quick runs (1 = full).
-pub fn rows(scale: usize) -> Vec<Table6Row> {
-    let scale = scale.max(1);
+pub fn rows() -> Vec<Table6Row> {
     let mut out = Vec::new();
     for spec in all_specs().iter().filter(|s| !s.key.starts_with("apache-")) {
-        let w = (spec.workload)(&WorkloadSpec::new(1_000 / scale, &[]));
+        let w = (spec.workload)(&WorkloadSpec::new(1_000, &[]));
         out.push(measure((spec.build)(), w, spec.display));
     }
     for profile in spec_profiles()
         .into_iter()
         .chain(alloc_intensive_profiles())
     {
-        let w = fa_apps::synth::workload(&profile, 2_000 / scale);
+        let w = fa_apps::synth::workload(&profile, 2_000);
         out.push(measure(Box::new(SynthApp::new(profile)), w, profile.name));
     }
     out

@@ -48,19 +48,18 @@ fn measure(app: BoxedApp, workload: Vec<Input>, name: &str) -> Table7Row {
     }
 }
 
-/// Runs all 22 programs; `scale` divides workload lengths.
-pub fn rows(scale: usize) -> Vec<Table7Row> {
-    let scale = scale.max(1);
+/// Runs all 22 programs.
+pub fn rows() -> Vec<Table7Row> {
     let mut out = Vec::new();
     for spec in all_specs().iter().filter(|s| !s.key.starts_with("apache-")) {
-        let w = (spec.workload)(&WorkloadSpec::new(2_400 / scale, &[]));
+        let w = (spec.workload)(&WorkloadSpec::new(2_400, &[]));
         out.push(measure((spec.build)(), w, spec.display));
     }
     for profile in spec_profiles()
         .into_iter()
         .chain(alloc_intensive_profiles())
     {
-        let w = fa_apps::synth::workload(&profile, 70_000 / scale);
+        let w = fa_apps::synth::workload(&profile, 70_000);
         out.push(measure(Box::new(SynthApp::new(profile)), w, profile.name));
     }
     out

@@ -505,7 +505,12 @@ impl Heap {
             prev_in_use,
         }
         .write(mem, start)?;
-        let mut after = ChunkHeader::read(mem, merged_next)?;
+        // An in-use `next` is still the chunk after the merge: reuse its tag.
+        let mut after = if merged_next == next {
+            next_hdr
+        } else {
+            ChunkHeader::read(mem, merged_next)?
+        };
         after.prev_size = size;
         after.prev_in_use = false;
         after.write(mem, merged_next)?;

@@ -21,23 +21,22 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # directory must fail zero times (the example asserts it).
 cargo run --release --offline --example patch_persistence
 
-# Fault-injection gate: the full 18-case matrix (every named scenario on
-# Apache and Squid) must conserve its input stream (asserted inside the
-# bench) and match results/faults.json in every field. All of them are
-# on the virtual clock, so a changed retry gate, watchdog or trial
-# penalty fails the comparison.
-cargo run --release --offline -p fa-bench --bin faults -- --check
-
-# Fleet gate: both fleet immunization experiments (Apache and Squid,
-# shared pool and per-worker ablation) must match results/fleet.json in
-# every field. The fleet steps its workers on one thread in virtual-time
-# order, so immunity instants and throughput samples are exact too.
-cargo run --release --offline -p fa-bench --bin fleet -- --check
+# Deterministic results gate: every table and figure of the paper's
+# evaluation, the ablations, and the fleet, fault-injection and sentry
+# extensions are rendered again and compared with the committed
+# results/*.txt (by first differing line) and results/*.json (field by
+# field). Every number comes from the virtual clock, so any difference
+# or missing file fails. Each fault-injection case must also conserve
+# its input stream, and the sentry sweep must keep its mean overhead at
+# rate 1/64 under the 5% budget and catch at least one run before its
+# organic crash point. About 55 s on 2 cores, most of it fig6 and
+# table7 at full size.
+cargo run --release --offline -p fa-bench --bin repro -- --check
 
 # Performance regression gate: wall-clock throughput and snapshot cost
 # vs the committed results/perf.json baseline, plus diagnosis virtual
-# time within 1.25x of baseline on Apache and Squid. A baseline that
-# exists but does not parse fails the gate.
+# time within 1.25x of baseline on Apache and Squid. A baseline that is
+# missing or does not parse fails the gate.
 cargo run --release --offline -p fa-bench --bin perf -- --check
 
 # The wall-clock benchmark, once, on the workload with the largest
@@ -53,12 +52,6 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 # bug type.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload recover --seconds 2 --trace 0
-
-# Sentry gate: at rate 1/64 the mean allocator overhead must stay under
-# the 5% always-on budget and at least one run must be caught before its
-# organic crash point; the sweep is virtual-clock-deterministic, so the
-# comparison against results/sentry.json is exact.
-cargo run --release --offline -p fa-bench --bin sentry -- --check
 
 # Crash-safety gate: a killed supervisor must recover its journaled
 # patch pool in under 5% of a cold fleet start, lose zero patch epochs,
